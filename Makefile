@@ -26,12 +26,11 @@ lint-alloc:
 lint-fixtures:
 	$(GO) test ./internal/lint/... ./cmd/mpclint/...
 
-# fuzz smoke-runs every fuzz target (the binary table decoders and the
-# /v1 JSON decode paths) for FUZZTIME each, seeded from the committed
-# corpora under testdata/fuzz.
+# fuzz smoke-runs every fuzz target (the run-length table and cache-file
+# decoders and the /v1 JSON decode paths) for FUZZTIME each, seeded from the
+# committed corpora under testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDeserializeTable$$' -fuzztime $(FUZZTIME) ./internal/fastmpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeserializeCompressed$$' -fuzztime $(FUZZTIME) ./internal/fastmpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheFile$$' -fuzztime $(FUZZTIME) ./internal/fastmpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/abrsvc/
@@ -55,14 +54,15 @@ verify:
 	$(GO) test -race ./...
 
 # bench-solver measures the MPC solver hot path (ns/op, allocs/op) and the
-# cold vs warm FastMPC table cache, writes BENCH_solver.json, and fails if
-# the zero-allocation or warm-beats-cold budget is blown.
+# cold vs warm FastMPC table cache, logs the numbers, and fails if the
+# zero-allocation or warm-beats-cold budget is blown. perfbench/ is the
+# tracked, layer-by-layer benchmark.
 bench-solver:
 	$(GO) test -run TestSolverPerformance -count=1 -v .
 
 # bench-svc load-tests a self-hosted abrd decision service over loopback,
-# writes BENCH_svc.json (decisions/sec, server-side p99), and fails if the
-# 1 ms lookup-path p99 budget is blown.
+# logs decisions/sec and the server-side p99, and fails if the 1 ms
+# lookup-path p99 budget is blown.
 bench-svc:
 	$(GO) test -run TestSvcPerformance -count=1 -v .
 

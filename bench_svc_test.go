@@ -1,7 +1,7 @@
 // Decision-service benchmarks (the PR 7 budget): steady-state decide
 // throughput against a live abrd over loopback HTTP, and the lookup-path
 // decision latency distribution measured server-side. TestSvcPerformance
-// writes the numbers to BENCH_svc.json (see `make bench-svc`) and asserts
+// logs the numbers (see `make bench-svc`) and asserts
 // the hard budget: p99 of the lookup-path decision (predictor update +
 // table lookup, excluding HTTP) stays under a millisecond.
 package mpcdash_test
@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -65,15 +64,15 @@ func histQuantile(snap any, q float64) (float64, error) {
 	return bs[len(bs)-1].bound * 2, nil
 }
 
-// TestSvcPerformance load-tests a self-hosted decision service and writes
-// BENCH_svc.json. Asserted: server-side lookup-path decision p99 under
+// TestSvcPerformance load-tests a self-hosted decision service and logs
+// the numbers. Asserted: server-side lookup-path decision p99 under
 // 1 ms, and a sane end-to-end throughput floor.
 func TestSvcPerformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark report; skipped in -short mode")
 	}
 	if raceEnabled {
-		t.Skip("race instrumentation skews the timings; BENCH_svc.json is generated without -race")
+		t.Skip("race instrumentation skews the timings")
 	}
 
 	workers := 2 * runtime.GOMAXPROCS(0)
@@ -209,7 +208,5 @@ func TestSvcPerformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_svc.json", append(report, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	t.Logf("report:\n%s", report)
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"testing"
 
 	"mpcdash/internal/abr"
@@ -379,14 +378,14 @@ func BenchmarkObs_SessionInstrumented(b *testing.B) {
 // ratio of pooled bests — so CPU-load epochs (e.g. other test packages
 // running in parallel) inflate both sides together and cancel; the
 // assertion takes the best paired ratio. The metrics-only and fully
-// traced ratios are reported in BENCH_obs.json but not asserted (they buy
+// traced ratios are logged but not asserted (they buy
 // metrics and a trace, so they are allowed to cost something).
 func TestObsOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion; skipped in -short mode")
 	}
 	if raceEnabled {
-		t.Skip("race instrumentation skews the timings; BENCH_obs.json is generated without -race")
+		t.Skip("race instrumentation skews the timings")
 	}
 	const trials = 4
 	best := [4]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
@@ -449,7 +448,5 @@ func TestObsOverheadBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_obs.json", append(report, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	t.Logf("report:\n%s", report)
 }

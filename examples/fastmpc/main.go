@@ -34,7 +34,7 @@ func main() {
 
 	compressed := fastmpc.Compress(table)
 	fmt.Printf("full table:  %6.1f kB (paper's 2 B/entry accounting: %.1f kB)\n",
-		float64(len(table.Serialize()))/1000, float64(table.FullSizeBytes(2))/1000)
+		float64(table.FullSizeBytes(1))/1000, float64(table.FullSizeBytes(2))/1000)
 	fmt.Printf("RLE table:   %6.1f kB in %d runs (ratio %.2f)\n\n",
 		float64(compressed.SizeBytes())/1000, compressed.Runs(),
 		float64(compressed.SizeBytes())/float64(table.FullSizeBytes(2)))

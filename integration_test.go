@@ -47,10 +47,9 @@ func TestFastMPCDeserializeFuzz(t *testing.T) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("Deserialize panicked on %d random bytes: %v", len(blob), r)
+					t.Fatalf("DeserializeCompressed panicked on %d random bytes: %v", len(blob), r)
 				}
 			}()
-			_, _ = fastmpc.Deserialize(blob)
 			_, _ = fastmpc.DeserializeCompressed(blob)
 		}()
 	}

@@ -10,11 +10,11 @@ import (
 
 // session is one registered viewer: the per-session state MPC needs
 // between chunks (the error-tracked predictor of Sec 7.1.2 and the last
-// decision, which makes retried requests idempotent) plus the shared,
-// read-only decision table. The decide path below is deterministic — a
-// pure function of the session's request history — which is what lets the
-// fleet's svc backend promise byte-identical decision sequences across
-// same-seed runs.
+// decision, which makes retried requests idempotent) plus a FastMPC
+// controller over the shared, read-only decision table. The decide path
+// below is deterministic — a pure function of the session's request
+// history — which is what lets the fleet's svc backend promise
+// byte-identical decision sequences across same-seed runs.
 type session struct {
 	mu sync.Mutex
 
@@ -23,10 +23,9 @@ type session struct {
 	group string
 
 	ladder  model.Ladder
-	table   *fastmpc.CompressedTable
+	ctrl    fastmpc.Controller
 	pred    *predictor.ErrorTracked
 	horizon int
-	robust  bool
 
 	// Idempotency: a decide request repeating lastChunk replays lastResp
 	// without touching predictor state.
@@ -45,62 +44,45 @@ func newSession(id string, seq int, rc resolvedConfig, table *fastmpc.Compressed
 		seq:       seq,
 		group:     rc.linkGroup,
 		ladder:    rc.ladder,
-		table:     table,
+		ctrl:      fastmpc.Controller{Table: table, Robust: rc.robust},
 		pred:      predictor.NewErrorTracked(predictor.NewHarmonicMean(rc.window), rc.window),
 		horizon:   rc.horizon,
-		robust:    rc.robust,
 		lastChunk: -1,
 	}
 }
 
-// algorithm names the decision rule for logs and DecisionEvents.
-func (ss *session) algorithm() string {
-	if ss.robust {
-		return "RobustFastMPC"
-	}
-	return "FastMPC"
-}
-
 // decide runs one controller step: feed the reported throughput samples to
-// the predictor, forecast, apply the robust lower bound and the fair-share
-// cap, and look the level up in the table. Callers hold ss.mu. The
-// sequence of operations mirrors the simulator's per-chunk loop exactly
-// (Observe the realized throughput of the previous chunk, then Predict,
-// then decide), so a service-backed session takes the same decisions as a
-// local fastmpc.Controller fed the same measurements.
+// the predictor, forecast, and hand the forecast and the link group's fair
+// share to fastmpc.Controller.Step. Callers hold ss.mu. The sequence of
+// operations mirrors the simulator's per-chunk loop exactly (Observe the
+// realized throughput of the previous chunk, then Predict, then decide), so
+// a service-backed session takes the same decisions as a local
+// fastmpc.Controller fed the same measurements.
 func (ss *session) decide(req *DecideRequest, share float64) DecideResponse {
 	for _, v := range req.ThroughputSamples {
 		if v > 0 {
 			ss.pred.Observe(v)
 		}
 	}
-	forecast := ss.pred.Predict(ss.horizon)
-	var predicted float64
-	if len(forecast) > 0 {
+	var predicted, lower float64
+	if forecast := ss.pred.Predict(ss.horizon); len(forecast) > 0 {
 		predicted = forecast[0]
 	}
-	rate := predicted
-	var lower float64
-	if ss.robust {
-		if lb := ss.pred.LowerBound(ss.horizon); len(lb) > 0 && lb[0] > 0 {
+	// The lower bound costs a second forecast; only robust sessions use it.
+	if ss.ctrl.Robust {
+		if lb := ss.pred.LowerBound(ss.horizon); len(lb) > 0 {
 			lower = lb[0]
-			rate = lower
 		}
 	}
-	var fair float64
-	if share > 0 && share < rate {
-		fair = share
-		rate = share
-	}
-	level := ss.table.Lookup(req.Buffer, req.PrevLevel, rate)
+	c := ss.ctrl.Step(req.Buffer, req.PrevLevel, predicted, lower, share)
 	return DecideResponse{
 		Session:       ss.id,
 		Chunk:         req.Chunk,
-		Level:         level,
-		BitrateKbps:   ss.ladder[level],
+		Level:         c.Level,
+		BitrateKbps:   ss.ladder[c.Level],
 		PredictedKbps: predicted,
-		LowerKbps:     lower,
-		FairShareKbps: fair,
+		LowerKbps:     c.Lower,
+		FairShareKbps: c.Cap,
 	}
 }
 

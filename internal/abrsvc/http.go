@@ -236,7 +236,7 @@ func (s *Service) handleDecide(w http.ResponseWriter, r *http.Request) {
 	decideDur := time.Since(dt0)
 	ss.lastChunk = req.Chunk
 	ss.lastResp = resp
-	alg, seq := ss.algorithm(), ss.seq
+	alg, seq := ss.ctrl.Name(), ss.seq
 	ss.mu.Unlock()
 
 	s.cDecided.Inc()

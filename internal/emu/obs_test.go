@@ -162,6 +162,12 @@ func TestServerInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The client returns once it has read the last chunk's body, which can
+	// be before the middleware records that request. Close drains the
+	// handlers, so the counters are final after it.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := reg.Counter(MetricServerRequests, "", "handler", "manifest").Value(); got != 1 {
 		t.Errorf("manifest requests = %d, want 1", got)

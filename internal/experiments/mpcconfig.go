@@ -97,7 +97,7 @@ func Fig12b(cfg Config) (*SweepResult, error) {
 type Table1Row struct {
 	Levels        int
 	FullBytesJS   int // 2 bytes/entry, the paper's JavaScript-literal accounting
-	FullBytesBin  int // 1 byte/entry binary serialization (our format)
+	FullBytesBin  int // 1 byte/entry binary array
 	RLEBytes      int
 	Runs          int
 	CompressRatio float64 // RLEBytes / FullBytesJS
@@ -128,7 +128,7 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		row := Table1Row{
 			Levels:       n,
 			FullBytesJS:  table.FullSizeBytes(2),
-			FullBytesBin: len(table.Serialize()),
+			FullBytesBin: table.FullSizeBytes(1),
 			RLEBytes:     c.SizeBytes(),
 			Runs:         c.Runs(),
 			BuildTime:    time.Since(start),

@@ -135,8 +135,8 @@ func (r *Registry) Table(opt *core.Optimizer, spec BinSpec) (*CompressedTable, e
 	e.once.Do(func() {
 		defer e.done.Store(true)
 		if dir != "" {
-			if full, ok := r.loadDisk(dir, key, opt.Manifest.Levels(), spec); ok {
-				e.table = Compress(full)
+			if table, ok := r.loadDisk(dir, key, opt.Manifest.Levels(), spec); ok {
+				e.table = table
 				r.diskHits.Add(1)
 				return
 			}
@@ -149,20 +149,22 @@ func (r *Registry) Table(opt *core.Optimizer, spec BinSpec) (*CompressedTable, e
 		r.builds.Add(1)
 		e.table = Compress(full)
 		if dir != "" {
-			r.storeDisk(dir, key, full)
+			r.storeDisk(dir, key, e.table)
 		}
 	})
 	return e.table, e.err
 }
 
 // On-disk cache file layout: a 16-byte keyed header (magic, format version,
-// the content key) followed by the flat table in the versioned Serialize
-// format. The key in the header is the file's claimed identity; a mismatch
-// with the file name or the requested key means a corrupt or renamed file
-// and falls back to a rebuild.
+// the content key) followed by the run-length table in the
+// CompressedTable.Serialize format, so a disk hit decodes straight into the
+// table the registry serves. The key in the header is the file's claimed
+// identity; a mismatch with the file name or the requested key means a
+// corrupt or renamed file and falls back to a rebuild. Version 1 files
+// carried a flat table; they fail the version check and are rebuilt.
 const (
 	cacheFileMagic   = 0x4D504346 // "MPCF"
-	cacheFileVersion = 1
+	cacheFileVersion = 2
 	cacheFileHeader  = 16
 )
 
@@ -175,7 +177,7 @@ func cachePath(dir string, key uint64) string {
 // identity it must carry: the content key, the ladder size, and the exact
 // BinSpec of the request. It is a pure function over the bytes — the
 // fuzz-hardened half of loadDisk — and any error means "treat as corrupt".
-func decodeCacheFile(data []byte, key uint64, levels int, spec BinSpec) (*Table, error) {
+func decodeCacheFile(data []byte, key uint64, levels int, spec BinSpec) (*CompressedTable, error) {
 	if len(data) < cacheFileHeader {
 		return nil, fmt.Errorf("fastmpc: cache file truncated (%d bytes)", len(data))
 	}
@@ -188,38 +190,38 @@ func decodeCacheFile(data []byte, key uint64, levels int, spec BinSpec) (*Table,
 	if k := binary.LittleEndian.Uint64(data[8:]); k != key {
 		return nil, fmt.Errorf("fastmpc: cache file claims key %016x, want %016x", k, key)
 	}
-	full, err := Deserialize(data[cacheFileHeader:])
+	table, err := DeserializeCompressed(data[cacheFileHeader:])
 	if err != nil {
 		return nil, err
 	}
-	if full.Levels != levels || !specIdentical(full.Spec, spec) {
+	if table.Levels != levels || !specIdentical(table.Spec, spec) {
 		return nil, fmt.Errorf("fastmpc: cached table geometry disagrees with request")
 	}
-	return full, nil
+	return table, nil
 }
 
 // loadDisk reads and validates one cached table. Any failure — missing
 // file, wrong magic or version, key mismatch, undecodable table, or a
 // table whose geometry disagrees with the request — is a miss; corrupt
 // files additionally count as DiskErrors.
-func (r *Registry) loadDisk(dir string, key uint64, levels int, spec BinSpec) (*Table, bool) {
+func (r *Registry) loadDisk(dir string, key uint64, levels int, spec BinSpec) (*CompressedTable, bool) {
 	data, err := os.ReadFile(cachePath(dir, key))
 	if err != nil {
 		return nil, false
 	}
-	full, err := decodeCacheFile(data, key, levels, spec)
+	table, err := decodeCacheFile(data, key, levels, spec)
 	if err != nil {
 		r.diskErrors.Add(1)
 		return nil, false
 	}
-	return full, true
+	return table, true
 }
 
 // storeDisk persists a freshly built table, best-effort: the cache is an
 // accelerator, so write failures only count toward DiskErrors. The write
 // goes through a unique temp file renamed into place, so concurrent
 // processes never observe a torn file.
-func (r *Registry) storeDisk(dir string, key uint64, t *Table) {
+func (r *Registry) storeDisk(dir string, key uint64, t *CompressedTable) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		r.diskErrors.Add(1)
 		return

@@ -68,26 +68,15 @@ func TestBinNaNAndInfDeterministic(t *testing.T) {
 
 // --- versioned serialization -----------------------------------------
 
-// TestSerializeRoundTripBitExact: the v2 header stores the BinSpec scalars
-// as float64, so a round trip reproduces the builder's binning bit for bit
-// (the v1 float32 header shifted bin edges for non-representable scalars).
+// TestSerializeRoundTripBitExact: the header stores the BinSpec scalars as
+// float64, so a round trip reproduces the builder's binning bit for bit
+// (a float32 header would shift bin edges for non-representable scalars).
 func TestSerializeRoundTripBitExact(t *testing.T) {
 	opt := testOptimizer(t)
 	table, err := Build(opt, testSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Deserialize(table.Serialize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !specIdentical(back.Spec, table.Spec) {
-		t.Fatalf("round-tripped spec %+v is not bit-identical to %+v", back.Spec, table.Spec)
-	}
-	if !bytes.Equal(back.Serialize(), table.Serialize()) {
-		t.Fatal("double round trip is not byte-identical")
-	}
-
 	c := Compress(table)
 	cback, err := DeserializeCompressed(c.Serialize())
 	if err != nil {
@@ -96,33 +85,8 @@ func TestSerializeRoundTripBitExact(t *testing.T) {
 	if !specIdentical(cback.Spec, c.Spec) {
 		t.Fatalf("round-tripped compressed spec %+v is not bit-identical to %+v", cback.Spec, c.Spec)
 	}
-}
-
-// legacySerialize writes the pre-versioning v1 blob (float32 scalars) the
-// old Serialize produced, to pin backward compatibility.
-func legacySerialize(t *Table) []byte {
-	buf := make([]byte, 24, 24+len(t.Entries))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(t.Spec.BufferBins))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(t.Spec.RateBins))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(t.Levels))
-	binary.LittleEndian.PutUint32(buf[12:], math.Float32bits(float32(t.Spec.BufferMax)))
-	binary.LittleEndian.PutUint32(buf[16:], math.Float32bits(float32(t.Spec.RateMin)))
-	binary.LittleEndian.PutUint32(buf[20:], math.Float32bits(float32(t.Spec.RateMax)))
-	return append(buf, t.Entries...)
-}
-
-func TestDeserializeReadsLegacyFormat(t *testing.T) {
-	_, table := smallTable(t)
-	back, err := Deserialize(legacySerialize(table))
-	if err != nil {
-		t.Fatalf("legacy blob rejected: %v", err)
-	}
-	if back.Spec.BufferBins != table.Spec.BufferBins || back.Levels != table.Levels ||
-		back.Spec.RateBins != table.Spec.RateBins {
-		t.Fatalf("legacy header mismatch: %+v vs %+v", back.Spec, table.Spec)
-	}
-	if !bytes.Equal(back.Entries, table.Entries) {
-		t.Fatal("legacy entries differ")
+	if !bytes.Equal(cback.Serialize(), c.Serialize()) {
+		t.Fatal("double round trip is not byte-identical")
 	}
 }
 
@@ -130,37 +94,21 @@ func TestDeserializeReadsLegacyFormat(t *testing.T) {
 // overflows int must be rejected, not wrapped into a plausible small
 // entry count that matches an attacker-chosen payload length.
 func TestDeserializeOverflowSafe(t *testing.T) {
-	// Legacy layout, dims 2^30 × 16 × 2^30: the naive int product wraps.
-	crafted := make([]byte, 24)
-	binary.LittleEndian.PutUint32(crafted[0:], 1<<30)
-	binary.LittleEndian.PutUint32(crafted[4:], 1<<30)
-	binary.LittleEndian.PutUint32(crafted[8:], 16)
-	if _, err := Deserialize(crafted); err == nil {
-		t.Error("overflowing legacy header accepted")
-	}
-	// v2 layout with the same dimensions.
-	crafted = make([]byte, tableHeaderLen)
-	binary.LittleEndian.PutUint32(crafted[0:], tableMagic)
-	binary.LittleEndian.PutUint32(crafted[4:], tableVersion)
+	// Dims 2^30 × 16 × 2^30 with one run: the naive int product wraps.
+	crafted := make([]byte, rleHeaderLen+5)
+	binary.LittleEndian.PutUint32(crafted[0:], rleMagic)
+	binary.LittleEndian.PutUint32(crafted[4:], rleVersion)
 	binary.LittleEndian.PutUint32(crafted[8:], 1<<30)
 	binary.LittleEndian.PutUint32(crafted[12:], 1<<30)
 	binary.LittleEndian.PutUint32(crafted[16:], 16)
-	if _, err := Deserialize(crafted); err == nil {
-		t.Error("overflowing v2 header accepted")
+	binary.LittleEndian.PutUint32(crafted[44:], 1)
+	if _, err := DeserializeCompressed(crafted); err == nil {
+		t.Error("overflowing compressed header accepted")
 	}
 	// Unknown future version must be rejected, not misparsed.
-	binary.LittleEndian.PutUint32(crafted[4:], tableVersion+1)
-	if _, err := Deserialize(crafted); err == nil {
+	binary.LittleEndian.PutUint32(crafted[4:], rleVersion+1)
+	if _, err := DeserializeCompressed(crafted); err == nil {
 		t.Error("unknown version accepted")
-	}
-	// Compressed header with overflowing dimensions.
-	ccrafted := make([]byte, 28)
-	binary.LittleEndian.PutUint32(ccrafted[0:], 1<<30)
-	binary.LittleEndian.PutUint32(ccrafted[4:], 1<<30)
-	binary.LittleEndian.PutUint32(ccrafted[8:], 16)
-	binary.LittleEndian.PutUint32(ccrafted[24:], 1)
-	if _, err := DeserializeCompressed(ccrafted); err == nil {
-		t.Error("overflowing compressed header accepted")
 	}
 }
 
@@ -303,6 +251,63 @@ func TestRegistryDiskRoundTrip(t *testing.T) {
 	if !bytes.Equal(a.Serialize(), c.Serialize()) {
 		t.Fatal("rebuild after corruption differs from the original build")
 	}
+
+	// A version 1 file (a flat "MPCT" table under the same key) is an
+	// outdated format: one disk error, a rebuild, and a version 2 file left
+	// behind that the next registry loads.
+	flat, err := Build(testOptimizer(t), testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], cacheFileV1(binary.LittleEndian.Uint64(data[8:]), flat), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := NewRegistry()
+	old.SetDir(dir)
+	d, err := old.Table(testOptimizer(t), testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := old.Stats(); st.DiskErrors != 1 || st.Builds != 1 || st.DiskHits != 0 {
+		t.Fatalf("v1-file stats = %+v, want 1 disk error and 1 rebuild", st)
+	}
+	if !bytes.Equal(a.Serialize(), d.Serialize()) {
+		t.Fatal("rebuild over a v1 file differs from the original build")
+	}
+	data, err = os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:]); v != cacheFileVersion {
+		t.Fatalf("rebuilt cache file has version %d, want %d", v, cacheFileVersion)
+	}
+	upgraded := NewRegistry()
+	upgraded.SetDir(dir)
+	if _, err := upgraded.Table(testOptimizer(t), testSpec); err != nil {
+		t.Fatal(err)
+	}
+	if st := upgraded.Stats(); st.DiskHits != 1 || st.Builds != 0 {
+		t.Fatalf("after upgrade stats = %+v, want 1 disk hit", st)
+	}
+}
+
+// cacheFileV1 writes the version 1 cache file layout: the keyed "MPCF"
+// header over a flat "MPCT" table (44-byte header with float64 scalars,
+// then one byte per entry).
+func cacheFileV1(key uint64, t *Table) []byte {
+	buf := make([]byte, 60, 60+len(t.Entries))
+	binary.LittleEndian.PutUint32(buf[0:], cacheFileMagic)
+	binary.LittleEndian.PutUint32(buf[4:], 1)
+	binary.LittleEndian.PutUint64(buf[8:], key)
+	binary.LittleEndian.PutUint32(buf[16:], 0x4D504354) // "MPCT"
+	binary.LittleEndian.PutUint32(buf[20:], 2)
+	binary.LittleEndian.PutUint32(buf[24:], uint32(t.Spec.BufferBins))
+	binary.LittleEndian.PutUint32(buf[28:], uint32(t.Spec.RateBins))
+	binary.LittleEndian.PutUint32(buf[32:], uint32(t.Levels))
+	binary.LittleEndian.PutUint64(buf[36:], math.Float64bits(t.Spec.BufferMax))
+	binary.LittleEndian.PutUint64(buf[44:], math.Float64bits(t.Spec.RateMin))
+	binary.LittleEndian.PutUint64(buf[52:], math.Float64bits(t.Spec.RateMax))
+	return append(buf, t.Entries...)
 }
 
 // TestCachedTableMatchesOptimizerEverywhere is the satellite property

@@ -73,9 +73,34 @@ func (c *Controller) Name() string {
 
 // Decide implements abr.Controller.
 func (c *Controller) Decide(s abr.State) abr.Decision {
-	rate := s.PredictedRate()
-	if c.Robust && len(s.Lower) > 0 && s.Lower[0] > 0 {
-		rate = s.Lower[0]
+	var lower float64
+	if len(s.Lower) > 0 {
+		lower = s.Lower[0]
 	}
-	return abr.Decision{Level: c.Table.Lookup(s.Buffer, s.Prev, rate)}
+	return abr.Decision{Level: c.Step(s.Buffer, s.Prev, s.PredictedRate(), lower, 0).Level}
+}
+
+// Choice is the outcome of one Step: the level and the throughput inputs
+// that decided it.
+type Choice struct {
+	Level int
+	Lower float64 // lower bound the table was queried with; 0 when the forecast was used
+	Cap   float64 // limit that bound the query rate; 0 when none did
+}
+
+// Step is FastMPC's decision rule for one chunk, shared by Decide and the
+// decision service's sessions. The table is queried with the first-step
+// throughput forecast or, when Robust, with its lower bound if positive
+// (Theorem 1); a positive limit below that rate caps it.
+func (c *Controller) Step(buffer float64, prev int, predicted, lower, limit float64) Choice {
+	var ch Choice
+	rate := predicted
+	if c.Robust && lower > 0 {
+		ch.Lower, rate = lower, lower
+	}
+	if limit > 0 && limit < rate {
+		ch.Cap, rate = limit, limit
+	}
+	ch.Level = c.Table.Lookup(buffer, prev, rate)
+	return ch
 }

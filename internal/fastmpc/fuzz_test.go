@@ -10,13 +10,13 @@ import (
 	"mpcdash/internal/fuzzcorpus"
 )
 
-// The binary table formats ("MPCT" flat tables, "MPCR" run-length tables,
-// "MPCF" cache files) are the service's only parsers of untrusted bytes: a
-// cache directory is writable by anything on the machine, and fleet nodes
-// exchange serialized tables. The fuzz targets below hold the decoders to
-// the contract the rest of the package relies on: every input either fails
-// with an error or yields a table whose every Lookup is in range — no
-// panics, no out-of-bounds levels, no decode-accepting-garbage.
+// The binary table formats ("MPCR" run-length tables and the "MPCF" cache
+// files that wrap them) are the package's only parsers of untrusted bytes:
+// a cache directory is writable by anything on the machine. The fuzz
+// targets below hold the decoders to the contract the rest of the package
+// relies on: every input either fails with an error or yields a table whose
+// every Lookup is in range — no panics, no out-of-bounds levels, no
+// decode-accepting-garbage.
 
 // fuzzSpec is the small deterministic geometry every fuzz seed is built
 // around: 4×3×3 = 36 entries keeps seed blobs readable in the corpus files.
@@ -38,39 +38,6 @@ func fuzzTable() *Table {
 	return t
 }
 
-// legacyTableBlob serializes a table in the pre-versioning v1 format
-// (24-byte header, float32 scalars) that Deserialize must still read.
-func legacyTableBlob(t *Table) []byte {
-	buf := make([]byte, legacyTableHeaderLen, legacyTableHeaderLen+len(t.Entries))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(t.Spec.BufferBins))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(t.Spec.RateBins))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(t.Levels))
-	binary.LittleEndian.PutUint32(buf[12:], math.Float32bits(float32(t.Spec.BufferMax)))
-	binary.LittleEndian.PutUint32(buf[16:], math.Float32bits(float32(t.Spec.RateMin)))
-	binary.LittleEndian.PutUint32(buf[20:], math.Float32bits(float32(t.Spec.RateMax)))
-	return append(buf, t.Entries...)
-}
-
-// legacyRLEBlob serializes a compressed table in the v1 format (28-byte
-// header, float32 scalars).
-func legacyRLEBlob(c *CompressedTable) []byte {
-	buf := make([]byte, legacyRLEHeaderLen, legacyRLEHeaderLen+5*len(c.Starts))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(c.Spec.BufferBins))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(c.Spec.RateBins))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(c.Levels))
-	binary.LittleEndian.PutUint32(buf[12:], math.Float32bits(float32(c.Spec.BufferMax)))
-	binary.LittleEndian.PutUint32(buf[16:], math.Float32bits(float32(c.Spec.RateMin)))
-	binary.LittleEndian.PutUint32(buf[20:], math.Float32bits(float32(c.Spec.RateMax)))
-	binary.LittleEndian.PutUint32(buf[24:], uint32(len(c.Starts)))
-	var entry [5]byte
-	for r := range c.Starts {
-		binary.LittleEndian.PutUint32(entry[0:], c.Starts[r])
-		entry[4] = c.Values[r]
-		buf = append(buf, entry[:]...)
-	}
-	return buf
-}
-
 // probeLookups exercises Lookup across the hostile corners of the state
 // space — NaN, ±Inf, negatives, out-of-range prev — and fails the fuzz run
 // if any decision escapes [0, levels).
@@ -90,62 +57,6 @@ func probeLookups(t *testing.T, levels int, lookup func(buffer float64, prev int
 	}
 }
 
-// deserializeTableSeeds is the committed seed corpus for
-// FuzzDeserializeTable: a valid v2 blob, its legacy v1 form, and the
-// truncation/corruption/versioning edges the decoder must reject.
-func deserializeTableSeeds() [][]byte {
-	full := fuzzTable()
-	valid := full.Serialize()
-	corrupt := append([]byte(nil), valid...)
-	corrupt[tableHeaderLen] = 0xFF // entry beyond Levels
-	wrongVersion := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(wrongVersion[4:], 99)
-	return [][]byte{
-		valid,
-		legacyTableBlob(full),
-		valid[:len(valid)-1], // truncated payload
-		valid[:tableHeaderLen],
-		{},
-		[]byte("MPCT"),
-		corrupt,
-		wrongVersion,
-	}
-}
-
-// FuzzDeserializeTable holds Deserialize ("MPCT" v2 and legacy v1 flat
-// tables) to its contract: error, or a structurally valid table that
-// re-serializes bit-exactly and never looks up an out-of-range level.
-func FuzzDeserializeTable(f *testing.F) {
-	for _, s := range deserializeTableSeeds() {
-		f.Add(s)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, err := Deserialize(data)
-		if err != nil {
-			return
-		}
-		want, err := entryCount(tab.Spec.BufferBins, tab.Levels, tab.Spec.RateBins)
-		if err != nil || len(tab.Entries) != want {
-			t.Fatalf("accepted table with inconsistent geometry: %d entries, entryCount says (%d, %v)", len(tab.Entries), want, err)
-		}
-		if err := validEntries(tab.Entries, tab.Levels); err != nil {
-			t.Fatalf("accepted table with out-of-range entries: %v", err)
-		}
-		// Round trip: re-serializing always emits v2; decoding that again
-		// must reproduce the same bytes (scalar bits preserved exactly).
-		re := tab.Serialize()
-		tab2, err := Deserialize(re)
-		if err != nil {
-			t.Fatalf("re-deserialize failed: %v", err)
-		}
-		if !bytes.Equal(re, tab2.Serialize()) {
-			t.Fatal("serialize/deserialize round trip not bit-exact")
-		}
-		probeLookups(t, tab.Levels, tab.Lookup)
-	})
-}
-
 // deserializeCompressedSeeds is the committed seed corpus for
 // FuzzDeserializeCompressed.
 func deserializeCompressedSeeds() [][]byte {
@@ -153,9 +64,11 @@ func deserializeCompressedSeeds() [][]byte {
 	valid := c.Serialize()
 	nonzeroStart := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(nonzeroStart[rleHeaderLen:], 7) // first run must start at 0
+	badLevel := append([]byte(nil), valid...)
+	badLevel[rleHeaderLen+4] = fuzzLevels // run value beyond Levels
 	return [][]byte{
 		valid,
-		legacyRLEBlob(c),
+		badLevel,
 		valid[:len(valid)-3], // torn run entry
 		valid[:rleHeaderLen],
 		{},
@@ -163,10 +76,11 @@ func deserializeCompressedSeeds() [][]byte {
 	}
 }
 
-// FuzzDeserializeCompressed holds DeserializeCompressed ("MPCR" v2 and
-// legacy v1 run-length tables) to the same contract, and cross-checks the
-// compressed Lookup against the decompressed flat table when the logical
-// length is small enough to expand.
+// FuzzDeserializeCompressed holds DeserializeCompressed ("MPCR" run-length
+// tables) to its contract: error, or a structurally valid table that
+// re-serializes bit-exactly and never looks up an out-of-range level. It
+// also cross-checks the compressed Lookup against the decompressed flat
+// table when the logical length is small enough to expand.
 func FuzzDeserializeCompressed(f *testing.F) {
 	for _, s := range deserializeCompressedSeeds() {
 		f.Add(s)
@@ -216,8 +130,8 @@ func FuzzDeserializeCompressed(f *testing.F) {
 // decoder must reject any blob claiming a different identity.
 const fuzzCacheKey uint64 = 0xDEADBEEFCAFEF00D
 
-// cacheBlob wraps a serialized table in the 16-byte "MPCF" keyed header,
-// mirroring storeDisk's layout.
+// cacheBlob wraps a serialized run-length table in the 16-byte "MPCF"
+// keyed header, mirroring storeDisk's layout.
 func cacheBlob(key uint64, table []byte) []byte {
 	buf := make([]byte, cacheFileHeader, cacheFileHeader+len(table))
 	binary.LittleEndian.PutUint32(buf[0:], cacheFileMagic)
@@ -228,9 +142,9 @@ func cacheBlob(key uint64, table []byte) []byte {
 
 // cacheFileSeeds is the committed seed corpus for FuzzCacheFile.
 func cacheFileSeeds() [][]byte {
-	blob := fuzzTable().Serialize()
+	blob := Compress(fuzzTable()).Serialize()
 	badVersion := cacheBlob(fuzzCacheKey, blob)
-	binary.LittleEndian.PutUint32(badVersion[4:], 2)
+	binary.LittleEndian.PutUint32(badVersion[4:], 1) // the retired flat-table format
 	return [][]byte{
 		cacheBlob(fuzzCacheKey, blob),
 		cacheBlob(fuzzCacheKey+1, blob), // key mismatch
@@ -250,19 +164,19 @@ func FuzzCacheFile(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		full, err := decodeCacheFile(data, fuzzCacheKey, fuzzLevels, fuzzSpec)
+		table, err := decodeCacheFile(data, fuzzCacheKey, fuzzLevels, fuzzSpec)
 		if err != nil {
 			return
 		}
-		if full.Levels != fuzzLevels || !specIdentical(full.Spec, fuzzSpec) {
-			t.Fatalf("accepted cache file with foreign geometry: levels %d, spec %+v", full.Levels, full.Spec)
+		if table.Levels != fuzzLevels || !specIdentical(table.Spec, fuzzSpec) {
+			t.Fatalf("accepted cache file with foreign geometry: levels %d, spec %+v", table.Levels, table.Spec)
 		}
 		if len(data) < cacheFileHeader || binary.LittleEndian.Uint64(data[8:]) != fuzzCacheKey {
 			t.Fatal("accepted cache file not claiming the requested key")
 		}
-		probeLookups(t, full.Levels, full.Lookup)
-		if Compress(full).Runs() < 1 {
-			t.Fatal("decoded table compresses to zero runs")
+		probeLookups(t, table.Levels, table.Lookup)
+		if table.Runs() < 1 {
+			t.Fatal("decoded table has zero runs")
 		}
 	})
 }
@@ -275,7 +189,6 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 		name  string
 		seeds [][]byte
 	}{
-		{"FuzzDeserializeTable", deserializeTableSeeds()},
 		{"FuzzDeserializeCompressed", deserializeCompressedSeeds()},
 		{"FuzzCacheFile", cacheFileSeeds()},
 	} {

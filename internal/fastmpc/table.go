@@ -7,7 +7,6 @@
 package fastmpc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -173,137 +172,9 @@ func Build(opt *core.Optimizer, spec BinSpec) (*Table, error) {
 	return t, nil
 }
 
-// FullSizeBytes returns the serialized size of the uncompressed table with
-// the given bytes per entry. The paper's Table 1 counts 2 bytes per entry
-// (the JavaScript literal encoding); our binary form needs 1.
+// FullSizeBytes returns the size of the uncompressed table with the given
+// bytes per entry. The paper's Table 1 counts 2 bytes per entry (the
+// JavaScript literal encoding); a binary array needs 1.
 func (t *Table) FullSizeBytes(bytesPerEntry int) int {
 	return len(t.Entries) * bytesPerEntry
-}
-
-// Serialized formats. The legacy (v1) headers stored the three BinSpec
-// scalars as float32: a deserialized table could disagree with the builder's
-// float64 binning at bin edges, so Lookup on the round-tripped table
-// returned a different level than the table it was serialized from. The
-// current format is versioned behind a magic word and stores the scalars as
-// float64 — a round trip is bit-exact. Deserialize still reads v1 blobs.
-const (
-	tableMagic   = 0x4D504354 // "MPCT", little-endian on the wire
-	tableVersion = 2
-
-	tableHeaderLen       = 44 // magic, version, 3×uint32 dims, 3×float64 scalars
-	legacyTableHeaderLen = 24 // 3×uint32 dims, 3×float32 scalars
-)
-
-// maxTableDim bounds each table dimension read from an untrusted header so
-// the entry-count product cannot overflow (2^20 per axis keeps the uint64
-// product below 2^60) and an absurd header fails fast.
-const maxTableDim = 1 << 20
-
-// entryCount validates header dimensions and returns the implied entry
-// count bufferBins·levels·rateBins. The multiplication is overflow-safe: a
-// crafted header with huge dimensions is rejected before the product is
-// trusted, instead of wrapping around int and matching a short payload.
-func entryCount(bufferBins, levels, rateBins int) (int, error) {
-	if bufferBins <= 0 || levels <= 0 || rateBins <= 0 ||
-		bufferBins > maxTableDim || levels > maxTableDim || rateBins > maxTableDim {
-		return 0, fmt.Errorf("fastmpc: table header has invalid dimensions %d×%d×%d", bufferBins, levels, rateBins)
-	}
-	n := uint64(bufferBins) * uint64(levels) * uint64(rateBins)
-	if n > math.MaxInt32 {
-		return 0, fmt.Errorf("fastmpc: table header implies %d entries, beyond the %d cap", n, math.MaxInt32)
-	}
-	return int(n), nil
-}
-
-// validEntries rejects payload bytes that name a ladder level the header
-// does not have — the cheapest integrity check a corrupted or truncated
-// cache file fails, since valid tables only store levels below Levels.
-func validEntries(entries []uint8, levels int) error {
-	for i, e := range entries {
-		if int(e) >= levels {
-			return fmt.Errorf("fastmpc: table entry %d is level %d, header has %d levels", i, e, levels)
-		}
-	}
-	return nil
-}
-
-// Serialize writes the versioned uncompressed table: the 44-byte v2 header
-// (magic, version, the three dimensions as uint32 and the three BinSpec
-// scalars as float64) followed by the entries.
-func (t *Table) Serialize() []byte {
-	buf := make([]byte, tableHeaderLen, tableHeaderLen+len(t.Entries))
-	binary.LittleEndian.PutUint32(buf[0:], tableMagic)
-	binary.LittleEndian.PutUint32(buf[4:], tableVersion)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(t.Spec.BufferBins))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(t.Spec.RateBins))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(t.Levels))
-	binary.LittleEndian.PutUint64(buf[20:], math.Float64bits(t.Spec.BufferMax))
-	binary.LittleEndian.PutUint64(buf[28:], math.Float64bits(t.Spec.RateMin))
-	binary.LittleEndian.PutUint64(buf[36:], math.Float64bits(t.Spec.RateMax))
-	return append(buf, t.Entries...)
-}
-
-// Deserialize reconstructs a table from Serialize output, current or legacy
-// v1 format (recognized by the absence of the magic word).
-func Deserialize(data []byte) (*Table, error) {
-	if len(data) >= 8 && binary.LittleEndian.Uint32(data[0:]) == tableMagic {
-		return deserializeV2(data)
-	}
-	return deserializeLegacy(data)
-}
-
-func deserializeV2(data []byte) (*Table, error) {
-	if v := binary.LittleEndian.Uint32(data[4:]); v != tableVersion {
-		return nil, fmt.Errorf("fastmpc: table blob version %d, want %d", v, tableVersion)
-	}
-	if len(data) < tableHeaderLen {
-		return nil, fmt.Errorf("fastmpc: table blob too short (%d bytes)", len(data))
-	}
-	t := &Table{}
-	t.Spec.BufferBins = int(binary.LittleEndian.Uint32(data[8:]))
-	t.Spec.RateBins = int(binary.LittleEndian.Uint32(data[12:]))
-	t.Levels = int(binary.LittleEndian.Uint32(data[16:]))
-	t.Spec.BufferMax = math.Float64frombits(binary.LittleEndian.Uint64(data[20:]))
-	t.Spec.RateMin = math.Float64frombits(binary.LittleEndian.Uint64(data[28:]))
-	t.Spec.RateMax = math.Float64frombits(binary.LittleEndian.Uint64(data[36:]))
-	want, err := entryCount(t.Spec.BufferBins, t.Levels, t.Spec.RateBins)
-	if err != nil {
-		return nil, err
-	}
-	if len(data)-tableHeaderLen != want {
-		return nil, fmt.Errorf("fastmpc: table blob has %d entries, header implies %d", len(data)-tableHeaderLen, want)
-	}
-	if err := validEntries(data[tableHeaderLen:], t.Levels); err != nil {
-		return nil, err
-	}
-	t.Entries = append([]uint8(nil), data[tableHeaderLen:]...)
-	return t, nil
-}
-
-// deserializeLegacy reads the pre-versioning v1 blob. Its float32 scalars
-// are widened back to float64, so a v1 table keeps exactly the (possibly
-// edge-shifted) binning it had when written — re-serialize to upgrade.
-func deserializeLegacy(data []byte) (*Table, error) {
-	if len(data) < legacyTableHeaderLen {
-		return nil, fmt.Errorf("fastmpc: table blob too short (%d bytes)", len(data))
-	}
-	t := &Table{}
-	t.Spec.BufferBins = int(binary.LittleEndian.Uint32(data[0:]))
-	t.Spec.RateBins = int(binary.LittleEndian.Uint32(data[4:]))
-	t.Levels = int(binary.LittleEndian.Uint32(data[8:]))
-	t.Spec.BufferMax = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[12:])))
-	t.Spec.RateMin = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[16:])))
-	t.Spec.RateMax = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[20:])))
-	want, err := entryCount(t.Spec.BufferBins, t.Levels, t.Spec.RateBins)
-	if err != nil {
-		return nil, err
-	}
-	if len(data)-legacyTableHeaderLen != want {
-		return nil, fmt.Errorf("fastmpc: table blob has %d entries, header implies %d", len(data)-legacyTableHeaderLen, want)
-	}
-	if err := validEntries(data[legacyTableHeaderLen:], t.Levels); err != nil {
-		return nil, err
-	}
-	t.Entries = append([]uint8(nil), data[legacyTableHeaderLen:]...)
-	return t, nil
 }

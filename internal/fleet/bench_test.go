@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkFleetSimSessions measures orchestration throughput on the sim
-// backend (sessions/sec backs the BENCH_fleet.json baseline).
+// backend (perfbench's fleet-sim workload is the tracked measurement).
 func BenchmarkFleetSimSessions(b *testing.B) {
 	sc := testScenarioBench(1000)
 	b.ReportAllocs()

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"sync"
 
 	"mpcdash/internal/emu"
 	"mpcdash/internal/model"
@@ -15,74 +14,8 @@ import (
 // fault-tolerant download engine on the client side. It exercises the
 // identical controller code as the simulator but through real sockets,
 // so it is the backend for transport-layer load questions at hundreds of
-// concurrent sessions, while the simulator backend scales to 100k.
-//
-// Unlike the simulator path a failed emulated session does not abort the
-// population — it is counted on the errors series and the run continues,
-// matching how a load generator must behave against a flaky backend.
-func (f *Fleet) runPopEmu(ctx context.Context, ps *popState) error {
-	workers := f.workersPerPop()
-	if workers > ps.pop.Sessions {
-		workers = ps.pop.Sessions
-	}
-	var (
-		wg       sync.WaitGroup
-		idx      = make(chan int)
-		stop     = make(chan struct{})
-		stopOnce sync.Once
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stopOnce.Do(func() { close(stop) })
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				done, err := f.admit(ctx, ps)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				st, err := f.playEmuSession(ctx, ps, i)
-				done()
-				if err != nil {
-					if ctx.Err() != nil {
-						fail(ctx.Err())
-						continue
-					}
-					ps.errors.Add(1)
-					ps.mErrors.Inc()
-					continue
-				}
-				f.complete(ps, st, i)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < ps.pop.Sessions; i++ {
-		select {
-		case idx <- i:
-		case <-stop:
-			break dispatch
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
+// concurrent sessions, while the simulator backend scales to 100k. A
+// failed session counts on the errors series (see runPop).
 
 // playEmuSession runs one session end to end: a manifest truncated to the
 // viewer's watch duration, a loopback server shaped to the session trace,
@@ -120,17 +53,8 @@ func (f *Fleet) playEmuSession(ctx context.Context, ps *popState, session int) (
 	if err != nil {
 		return sessionStats{}, err
 	}
-	abandoned := truncateAbandon(res, ps.pop.AbandonRebufferSec)
-	metrics := res.ComputeMetrics(model.QIdentity)
-	return sessionStats{
-		chunks:    len(res.Chunks),
-		qoe:       res.QoE(f.weights, model.QIdentity),
-		bitrate:   metrics.AvgBitrate,
-		rebuffer:  metrics.RebufferTime,
-		switches:  float64(metrics.Switches),
-		startup:   metrics.StartupDelay,
-		abandoned: abandoned,
-	}, nil
+	truncateAbandon(res, ps.pop.AbandonRebufferSec)
+	return ps.stats(res, res.QoE(f.weights, model.QIdentity), res.ComputeMetrics(model.QIdentity), watch), nil
 }
 
 // truncateAbandon applies the abandon-on-rebuffer policy to a finished
@@ -139,20 +63,17 @@ func (f *Fleet) playEmuSession(ctx context.Context, ps *popState, session int) (
 // that stall, and nothing after it was watched. (The simulator backend
 // enforces the policy during the run; here the downloads already
 // happened, but the session's sequential determinism makes the prefix
-// identical either way.) It reports whether the cut ended the session
-// early.
-func truncateAbandon(res *model.SessionResult, thresholdSec float64) bool {
+// identical either way.)
+func truncateAbandon(res *model.SessionResult, thresholdSec float64) {
 	if thresholdSec <= 0 {
-		return false
+		return
 	}
 	var cum float64
 	for i := range res.Chunks {
 		cum += res.Chunks[i].Rebuffer
 		if cum >= thresholdSec {
-			early := i+1 < len(res.Chunks)
 			res.Chunks = res.Chunks[:i+1]
-			return early
+			return
 		}
 	}
-	return false
 }

@@ -244,9 +244,9 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 			defer wg.Done()
 			switch f.opt.Backend {
 			case BackendEmu:
-				errs[i] = f.runPopEmu(ctx, ps)
+				errs[i] = f.runPop(ctx, ps, f.playEmuSession)
 			case BackendSvc:
-				errs[i] = f.runPopSvc(ctx, ps)
+				errs[i] = f.runPop(ctx, ps, f.playSvcSession)
 			default:
 				errs[i] = f.runPopSim(ctx, ps)
 			}
@@ -317,18 +317,78 @@ func (f *Fleet) runPopSim(ctx context.Context, ps *popState) error {
 	}
 	return r.RunDatasetFunc(ctx, ps.alg, assigned, func(o runner.Outcome) {
 		watched := ps.watchFor(o.Session, f.manifest.ChunkCount)
-		f.complete(ps, sessionStats{
-			chunks:   len(o.Result.Chunks),
-			qoe:      o.QoE,
-			bitrate:  o.Metrics.AvgBitrate,
-			rebuffer: o.Metrics.RebufferTime,
-			switches: float64(o.Metrics.Switches),
-			startup:  o.Metrics.StartupDelay,
-			abandoned: ps.pop.AbandonRebufferSec > 0 &&
-				o.Metrics.RebufferTime >= ps.pop.AbandonRebufferSec &&
-				len(o.Result.Chunks) < watched,
-		}, o.Session)
+		f.complete(ps, ps.stats(o.Result, o.QoE, o.Metrics, watched), o.Session)
 	})
+}
+
+// runPop drives one population through the emu or svc backend: a pool of
+// workers each admits a session, plays it with play, and streams the result
+// into the aggregate. Unlike the simulator path a failed session does not
+// abort the population — it is counted on the errors series and the run
+// continues, matching how a load generator must behave against a flaky
+// backend. Only admission failure or cancellation stops the population.
+func (f *Fleet) runPop(ctx context.Context, ps *popState, play func(context.Context, *popState, int) (sessionStats, error)) error {
+	workers := f.workersPerPop()
+	if workers > ps.pop.Sessions {
+		workers = ps.pop.Sessions
+	}
+	var (
+		wg       sync.WaitGroup
+		idx      = make(chan int)
+		stop     = make(chan struct{})
+		stopOnce sync.Once
+		errMu    sync.Mutex
+		firstErr error
+	)
+	fail := func(err error) {
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		errMu.Unlock()
+		stopOnce.Do(func() { close(stop) })
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				done, err := f.admit(ctx, ps)
+				if err != nil {
+					fail(err)
+					continue
+				}
+				st, err := play(ctx, ps, i)
+				done()
+				if err != nil {
+					if ctx.Err() != nil {
+						fail(ctx.Err())
+						continue
+					}
+					ps.errors.Add(1)
+					ps.mErrors.Inc()
+					continue
+				}
+				f.complete(ps, st, i)
+			}
+		}()
+	}
+dispatch:
+	for i := 0; i < ps.pop.Sessions; i++ {
+		select {
+		case idx <- i:
+		case <-stop:
+			break dispatch
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(idx)
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	return ctx.Err()
 }
 
 // admit is the launch gate every session passes: arrival-process pacing,
@@ -367,6 +427,23 @@ func (f *Fleet) complete(ps *popState, s sessionStats, session int) {
 	}
 	ps.mRebuf.Observe(s.rebuffer)
 	ps.ot.add(session, s)
+}
+
+// stats reduces one finished session to the scalars the aggregate keeps.
+// The viewer abandoned the session when the rebuffer policy cut it short of
+// its watched chunks.
+func (ps *popState) stats(res *model.SessionResult, qoe float64, m model.Metrics, watched int) sessionStats {
+	return sessionStats{
+		chunks:   len(res.Chunks),
+		qoe:      qoe,
+		bitrate:  m.AvgBitrate,
+		rebuffer: m.RebufferTime,
+		switches: float64(m.Switches),
+		startup:  m.StartupDelay,
+		abandoned: ps.pop.AbandonRebufferSec > 0 &&
+			m.RebufferTime >= ps.pop.AbandonRebufferSec &&
+			len(res.Chunks) < watched,
+	}
 }
 
 // traceFor deterministically assigns session i a trace: the mix picks the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"mpcdash/internal/abr"
@@ -29,7 +28,7 @@ import (
 // sequence is a pure function of its trace — same-seed runs reproduce
 // byte-identical per-session sequences even across shed/retry storms.
 // Like the emu backend, a failed session counts on the errors series
-// rather than aborting the population.
+// rather than aborting the population (see runPop).
 
 // svcAlgorithms maps fleet algorithm names onto the service's decision
 // rules. Only the table-lookup family exists server-side: the service is
@@ -123,73 +122,6 @@ func (e *svcEnv) close(ctx context.Context) error {
 // sequences; it must be safe for concurrent calls.
 var svcSessionHook func(pop string, session int, res *model.SessionResult)
 
-// runPopSvc drives one population through the decision service with the
-// same worker-pool shape as the emu backend: per-session failures count
-// on the errors series, only cancellation stops the population.
-func (f *Fleet) runPopSvc(ctx context.Context, ps *popState) error {
-	workers := f.workersPerPop()
-	if workers > ps.pop.Sessions {
-		workers = ps.pop.Sessions
-	}
-	var (
-		wg       sync.WaitGroup
-		idx      = make(chan int)
-		stop     = make(chan struct{})
-		stopOnce sync.Once
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stopOnce.Do(func() { close(stop) })
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				done, err := f.admit(ctx, ps)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				st, err := f.playSvcSession(ctx, ps, i)
-				done()
-				if err != nil {
-					if ctx.Err() != nil {
-						fail(ctx.Err())
-						continue
-					}
-					ps.errors.Add(1)
-					ps.mErrors.Inc()
-					continue
-				}
-				f.complete(ps, st, i)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < ps.pop.Sessions; i++ {
-		select {
-		case idx <- i:
-		case <-stop:
-			break dispatch
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
 // playSvcSession registers one session with the service, plays it through
 // the simulator with the HTTP-backed controller, and deletes it. Every
 // session registers the full video spec — watch truncation happens via
@@ -252,18 +184,7 @@ func (f *Fleet) playSvcSession(ctx context.Context, ps *popState, session int) (
 	if svcSessionHook != nil {
 		svcSessionHook(ps.pop.Name, session, res)
 	}
-	metrics := res.ComputeMetrics(model.QIdentity)
-	return sessionStats{
-		chunks:   len(res.Chunks),
-		qoe:      res.QoE(f.weights, model.QIdentity),
-		bitrate:  metrics.AvgBitrate,
-		rebuffer: metrics.RebufferTime,
-		switches: float64(metrics.Switches),
-		startup:  metrics.StartupDelay,
-		abandoned: ps.pop.AbandonRebufferSec > 0 &&
-			metrics.RebufferTime >= ps.pop.AbandonRebufferSec &&
-			len(res.Chunks) < cfg.MaxChunks,
-	}, nil
+	return ps.stats(res, res.QoE(f.weights, model.QIdentity), res.ComputeMetrics(model.QIdentity), cfg.MaxChunks), nil
 }
 
 // svcDecideRetries bounds the shed-retry protocol per decision; with the

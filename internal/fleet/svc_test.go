@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -118,5 +119,57 @@ func TestSvcBackendDeterministic(t *testing.T) {
 	}
 	if short == 0 {
 		t.Error("uniform 4..12 watch distribution produced no truncated sessions")
+	}
+}
+
+// TestSvcBackendMatchesSim is the differential oracle between backends: a
+// FastMPC session on the svc backend plays the simulator's playback with
+// the same table and predictor, only moved behind HTTP, so with watch
+// churn and the abandon policy both backends must produce byte-identical
+// reports (the backend name aside).
+func TestSvcBackendMatchesSim(t *testing.T) {
+	run := func(backend string) *Report {
+		sc := &Scenario{
+			Name:        "oracle",
+			Seed:        11,
+			Video:       VideoSpec{Chunks: 16, ChunkSec: 4},
+			TracePool:   TracePoolSpec{PerKind: 16, DurationSec: 200},
+			MaxInFlight: 16,
+			Populations: []Population{{
+				Name:               "fastmpc",
+				Algorithm:          "FastMPC",
+				Sessions:           64,
+				TraceMix:           map[string]float64{"fcc": 1, "hsdpa": 2},
+				Watch:              Watch{Dist: "uniform", MinChunks: 4, MaxChunks: 16},
+				AbandonRebufferSec: 2,
+			}},
+		}
+		f, err := New(sc, Options{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := f.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	sim, svc := run(BackendSim), run(BackendSvc)
+	p := sim.Populations[0]
+	t.Logf("sim: %d completed, %d abandoned, %d chunks", p.Completed, p.Abandoned, p.Chunks)
+	if p.Completed != int64(p.Sessions) || p.Abandoned == 0 || p.Abandoned == p.Completed {
+		t.Fatalf("scenario does not exercise churn and abandonment: %+v", p)
+	}
+	svc.Backend = sim.Backend
+	a, err := sim.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := svc.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("sim and svc reports differ:\n--- sim\n%s\n--- svc\n%s", a, b)
 	}
 }

@@ -1,0 +1,117 @@
+package optimal
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"mpcdash/internal/model"
+	"mpcdash/internal/trace"
+)
+
+// goldenCase is one pinned Solve input.
+type goldenCase struct {
+	name  string
+	build func(t testing.TB) (*Solver, *trace.Trace)
+}
+
+// fig8Trace is the paper-fig8 trace of a dataset kind: experiments base
+// seed 43, one trace per dataset, seeded and sized like Config.datasets.
+func fig8Trace(kind trace.DatasetKind) *trace.Trace {
+	return trace.Dataset(kind, 1, model.EnvivioManifest().Duration()+120, 43+int64(kind))[0]
+}
+
+func cbrManifest(t testing.TB, chunks int) *model.Manifest {
+	t.Helper()
+	m, err := model.NewCBRManifest(model.EnvivioLadder(), chunks, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+var goldenCases = []goldenCase{
+	{"fig8-fcc", func(t testing.TB) (*Solver, *trace.Trace) {
+		return newTestSolver(t, model.EnvivioManifest()), fig8Trace(trace.FCC)
+	}},
+	{"fig8-hsdpa", func(t testing.TB) (*Solver, *trace.Trace) {
+		return newTestSolver(t, model.EnvivioManifest()), fig8Trace(trace.HSDPA)
+	}},
+	{"fig8-synthetic", func(t testing.TB) (*Solver, *trace.Trace) {
+		return newTestSolver(t, model.EnvivioManifest()), fig8Trace(trace.Synthetic)
+	}},
+	{"discrete-ladder", func(t testing.TB) (*Solver, *trace.Trace) {
+		s := newTestSolver(t, model.EnvivioManifest())
+		s.DenseLevels = 0
+		return s, fig8Trace(trace.HSDPA)
+	}},
+	{"half-second-bins", func(t testing.TB) (*Solver, *trace.Trace) {
+		m := cbrManifest(t, 12)
+		s := newTestSolver(t, m)
+		s.TimeBin, s.BufferBin = 0.5, 0.5
+		return s, trace.GenFCC(31, m.Duration()+60)
+	}},
+	{"wrapping-zero-rate", func(t testing.TB) (*Solver, *trace.Trace) {
+		// A 7 s, 3800 kbit trace with dead segments: downloads wrap it,
+		// the largest several times, and some land on a zero-rate stretch.
+		tr, err := trace.New("wrap", []trace.Sample{{Duration: 2, Kbps: 900}, {Duration: 1.5, Kbps: 0}, {Duration: 0.5, Kbps: 4000}, {Duration: 3, Kbps: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newTestSolver(t, cbrManifest(t, 10)), tr
+	}},
+	{"dead", func(t testing.TB) (*Solver, *trace.Trace) {
+		tr, err := trace.FromRates("dead", 10, []float64{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newTestSolver(t, model.EnvivioManifest()), tr
+	}},
+}
+
+// goldenBits are math.Float64bits of Solve for goldenCases, recorded on
+// amd64 from the map-based dynamic program this package used before its
+// flat kernel. Any change to them is a change to every n-QoE number.
+var goldenBits = map[string]uint64{
+	"fig8-fcc":           0x40aaeddb3f7ebc3c, // 3446.9282188038615
+	"fig8-hsdpa":         0x4101da876d4d8998, // 146256.92837054725
+	"fig8-synthetic":     0x4103c78dee657bea, // 162033.74140450294
+	"discrete-ladder":    0x41018da76d4d8998, // 143796.92837054725
+	"half-second-bins":   0x40c3310ecdaab4b0, // 9826.115651453234
+	"wrapping-zero-rate": 0xc05aaaaaaaaaaac0, // -106.66666666666697
+	"dead":               0xfff0000000000000, // -Inf
+}
+
+// goldenStates are the frontier sizes summed over every chunk of the
+// cheaper goldenCases, recorded with goldenBits. The optimum's value is
+// insensitive to small pruning errors; the number of states kept is not.
+var goldenStates = map[string]int{
+	"discrete-ladder":    179984,
+	"half-second-bins":   41468,
+	"wrapping-zero-rate": 8535,
+	"dead":               31,
+}
+
+// TestSolveGolden pins Solve bit for bit, and the kept states of the
+// cheaper cases exactly. Go may fuse x*y+z into one rounding on
+// architectures with FMA instructions (arm64, ppc64le, s390x), so the
+// pinned bits are amd64's.
+func TestSolveGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden bits are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	for _, c := range goldenCases {
+		s, tr := c.build(t)
+		if got := s.Solve(tr); math.Float64bits(got) != goldenBits[c.name] {
+			t.Errorf("%s: Solve = %v (bits %#x), want %v (bits %#x)", c.name,
+				got, math.Float64bits(got), math.Float64frombits(goldenBits[c.name]), goldenBits[c.name])
+		}
+		if want, ok := goldenStates[c.name]; ok {
+			states := 0
+			s.solve(tr, func(f []state) { states += len(f) })
+			if states != want {
+				t.Errorf("%s: frontiers hold %d states over all chunks, want %d", c.name, states, want)
+			}
+		}
+	}
+}

@@ -3,15 +3,19 @@
 // knowledge of the whole throughput trace. The paper solves this with
 // CPLEX after relaxing bitrates to a continuous range (footnote 6); we
 // solve the same relaxation by dynamic programming over the exact buffer
-// and timing dynamics, quantizing time and buffer onto fine grids and
-// pruning dominated states (a state with less buffer and less accumulated
-// QoE at the same trace position can never win).
+// and timing dynamics, quantizing time and buffer onto grids and pruning
+// dominated states. At the same trace position (time bin), state A
+// dominates state B when A has at least as much buffer and A's QoE lead
+// covers the worst-case extra switching penalty of adopting A's future plan
+// from B's previous rate, λ·|q(prevA) − q(prevB)| (by the triangle
+// inequality). States with no previous chunk only dominate each other.
 package optimal
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mpcdash/internal/model"
 	"mpcdash/internal/trace"
@@ -24,19 +28,21 @@ type Solver struct {
 	Quality   model.QualityFunc
 	BufferMax float64
 
-	// TimeBin and BufferBin are the quantization grids in seconds
-	// (defaults 0.5 and 0.5). Finer grids tighten the approximation at
-	// quadratic cost.
+	// TimeBin and BufferBin are the quantization grids in seconds.
+	// NewSolver sets 1 and 1; zero or less falls back to 0.5. Finer grids
+	// tighten the approximation at quadratic cost.
 	TimeBin   float64
 	BufferBin float64
 
 	// DenseLevels > 0 replaces the manifest ladder with that many rates
 	// uniform in [R_min, R_max] — the paper's continuous-bitrate
-	// relaxation (default 21). Zero keeps the discrete ladder, giving the
-	// exact discrete offline optimum.
+	// relaxation; NewSolver sets 11. Zero keeps the discrete ladder,
+	// giving the exact discrete offline optimum. Solve panics on more than
+	// 65535 rates, which overflow its state key.
 	DenseLevels int
 
-	// Startup-delay search grid (defaults 1 s steps up to BufferMax).
+	// Startup-delay search grid: NewSolver sets 1 s steps up to BufferMax,
+	// and zero or less falls back to the same.
 	TsStep float64
 	TsMax  float64
 }
@@ -65,24 +71,48 @@ func NewSolver(m *model.Manifest, w model.Weights, q model.QualityFunc, bufferMa
 	}, nil
 }
 
-type stateKey struct {
-	prev int // action index of previous chunk; len(actions) = "none"
-	tBin int32
-	bBin int16
+// Solve returns QoE(OPT) for the trace: the best achievable Eq. (5) value
+// over all bitrate plans and startup delays.
+func (s *Solver) Solve(tr *trace.Trace) float64 {
+	final := s.solve(tr, nil)
+	if b := best(final); b >= 0 {
+		return final[b].val
+	}
+	return math.Inf(-1)
 }
 
-// node carries the exact dynamics alongside the accumulated value; bins are
-// only dedup keys, so quantization error does not accumulate across chunks.
-type node struct {
-	val float64
-	t   float64
-	buf float64
+// actions returns the rate set the optimum may choose from.
+func (s *Solver) actions() []float64 {
+	if s.DenseLevels <= 0 {
+		return append([]float64(nil), s.Manifest.Ladder...)
+	}
+	return model.UniformLadder(s.DenseLevels, s.Manifest.Ladder.Min(), s.Manifest.Ladder.Max())
 }
 
-// better orders nodes totally — by value, then buffer, then earlier time —
-// so frontier updates are independent of map iteration order and the solver
-// is bit-for-bit deterministic.
-func (n node) better(o node) bool {
+// state is one DP state: the exact dynamics and accumulated value under a
+// packed (tBin, prev, bBin) dedup key. Bins are only keys, so quantization
+// error does not accumulate across chunks.
+type state struct {
+	key  uint64
+	val  float64
+	t    float64
+	buf  float64
+	from int32 // index of the predecessor in the previous chunk's frontier
+}
+
+// packKey packs a time bin, the previous action (len(actions) = "none")
+// and a buffer bin; the time bin is the top half, so sorting by key>>32
+// groups a trace position.
+func packKey(tBin int32, prev int, bBin int16) uint64 {
+	return uint64(uint32(tBin))<<32 | uint64(prev)<<16 | uint64(uint16(bBin))
+}
+
+func (n *state) prev() int { return int(n.key >> 16 & 0xffff) }
+
+// better orders states totally — by value, then buffer, then earlier time —
+// so frontier updates are independent of visiting order and the solver is
+// bit-for-bit deterministic.
+func (n *state) better(o *state) bool {
 	if n.val != o.val { //lint:allow floateq deliberate total order for bit-stable frontier updates
 		return n.val > o.val
 	}
@@ -92,28 +122,39 @@ func (n node) better(o node) bool {
 	return n.t < o.t
 }
 
-// Solve returns QoE(OPT) for the trace: the best achievable Eq. (5) value
-// over all bitrate plans and startup delays.
-func (s *Solver) Solve(tr *trace.Trace) float64 {
+// best returns the index of the first highest-valued state, or -1.
+func best(frontier []state) int {
+	b, v := -1, math.Inf(-1)
+	for i := range frontier {
+		if frontier[i].val > v {
+			b, v = i, frontier[i].val
+		}
+	}
+	return b
+}
+
+// kernel holds the dynamic program's reusable buffers.
+type kernel struct {
+	next  []state
+	index []int32   // open-addressed over next: 1 + position, 0 = empty
+	shift uint      // 64 - log2(len(index))
+	gap   []float64 // gap[p*levels+q] = λ·|q(p) − q(q)|, the prune margin
+	kept  []float64 // per previous action: best kept value in the tBin group
+}
+
+// solve runs the dynamic program and returns the final frontier. A non-nil
+// record sees the initial frontier and then each chunk's pruned frontier;
+// a state's from indexes the frontier recorded before it.
+func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 	actions := s.actions()
 	noPrev := len(actions)
-	timeBin := s.TimeBin
-	if timeBin <= 0 {
-		timeBin = 0.5
+	if noPrev >= 1<<16 {
+		panic(fmt.Sprintf("optimal: %d rates exceed the state key's 16-bit action field", noPrev))
 	}
-	bufBin := s.BufferBin
-	if bufBin <= 0 {
-		bufBin = 0.5
-	}
-	tsStep := s.TsStep
-	if tsStep <= 0 {
-		tsStep = 1
-	}
-	tsMax := s.TsMax
-	if tsMax <= 0 {
-		tsMax = s.BufferMax
-	}
-
+	timeBin := positiveOr(s.TimeBin, 0.5)
+	bufBin := positiveOr(s.BufferBin, 0.5)
+	tsStep := positiveOr(s.TsStep, 1)
+	tsMax := positiveOr(s.TsMax, s.BufferMax)
 	quantB := func(b float64) int16 {
 		bin := int16(math.Round(b / bufBin))
 		max := int16(math.Round(s.BufferMax / bufBin))
@@ -126,27 +167,39 @@ func (s *Solver) Solve(tr *trace.Trace) float64 {
 		return bin
 	}
 
-	frontier := make(map[stateKey]node)
-	for ts := 0.0; ts <= tsMax+1e-9; ts += tsStep {
-		key := stateKey{prev: noPrev, tBin: 0, bBin: quantB(ts)}
-		n := node{val: -s.Weights.MuS * ts, t: 0, buf: ts}
-		if old, ok := frontier[key]; !ok || n.better(old) {
-			frontier[key] = n
-		}
-	}
-
-	qOf := make([]float64, len(actions))
+	qOf := make([]float64, noPrev)
 	for i, r := range actions {
 		qOf[i] = s.Quality(r)
 	}
+	k := kernel{gap: make([]float64, noPrev*noPrev), kept: make([]float64, noPrev+1)}
+	for p := range qOf {
+		for q := range qOf {
+			k.gap[p*noPrev+q] = s.Weights.Lambda * math.Abs(qOf[p]-qOf[q])
+		}
+	}
 
-	for k := 0; k < s.Manifest.ChunkCount; k++ {
-		next := make(map[stateKey]node, len(frontier)*2)
-		mult := s.Manifest.SizeMultiplier(k)
-		for key, st := range frontier {
-			for a, rate := range actions {
-				size := s.Manifest.ChunkDuration * rate * mult
-				dl := tr.DownloadTime(st.t, size)
+	k.reset(int(tsMax/tsStep) + 2)
+	for ts := 0.0; ts <= tsMax+1e-9; ts += tsStep {
+		k.insert(state{key: packKey(0, noPrev, quantB(ts)), val: -s.Weights.MuS * ts, buf: ts, from: -1})
+	}
+	frontier := slices.Clone(k.next)
+	if record != nil {
+		record(frontier)
+	}
+
+	sizes := make([]float64, noPrev)
+	for c := 0; c < s.Manifest.ChunkCount; c++ {
+		mult := s.Manifest.SizeMultiplier(c)
+		for a, rate := range actions {
+			sizes[a] = s.Manifest.ChunkDuration * rate * mult
+		}
+		k.reset(len(frontier) * noPrev)
+		for i := range frontier {
+			st := &frontier[i]
+			prev := st.prev()
+			at := tr.At(st.t)
+			for a, size := range sizes {
+				dl := at.DownloadTime(size)
 				if math.IsInf(dl, 1) {
 					continue
 				}
@@ -157,101 +210,130 @@ func (s *Solver) Solve(tr *trace.Trace) float64 {
 				nt := st.t + dl + wait
 
 				gain := qOf[a] - s.Weights.Mu*rebuffer
-				if key.prev != noPrev {
-					gain -= s.Weights.Lambda * math.Abs(qOf[a]-qOf[key.prev])
+				if prev != noPrev {
+					gain -= s.Weights.Lambda * math.Abs(qOf[a]-qOf[prev])
 				}
-				nk := stateKey{
-					prev: a,
-					tBin: int32(math.Round(nt / timeBin)),
-					bBin: quantB(nb),
-				}
-				nn := node{val: st.val + gain, t: nt, buf: nb}
-				if old, ok := next[nk]; !ok || nn.better(old) {
-					next[nk] = nn
-				}
+				k.insert(state{
+					key:  packKey(int32(math.Round(nt/timeBin)), a, quantB(nb)),
+					val:  st.val + gain,
+					t:    nt,
+					buf:  nb,
+					from: int32(i),
+				})
 			}
 		}
-		frontier = prune(next, qOf, s.Weights.Lambda, noPrev)
-	}
-
-	best := math.Inf(-1)
-	for _, n := range frontier {
-		if n.val > best {
-			best = n.val
+		frontier = k.prune(noPrev, frontier)
+		if record != nil {
+			record(frontier)
 		}
 	}
-	return best
+	return frontier
 }
 
-// actions returns the rate set the optimum may choose from.
-func (s *Solver) actions() []float64 {
-	if s.DenseLevels <= 0 {
-		return append([]float64(nil), s.Manifest.Ladder...)
+// positiveOr returns v, or fallback if v is not positive.
+func positiveOr(v, fallback float64) float64 {
+	if v <= 0 {
+		return fallback
 	}
-	return model.UniformLadder(s.DenseLevels, s.Manifest.Ladder.Min(), s.Manifest.Ladder.Max())
+	return v
 }
 
-// prune removes dominated states within each tBin group. State A dominates
-// state B at the same trace position when A has at least as much buffer and
-// A's value lead covers the worst-case extra switching penalty of adopting
-// A's future plan from B's previous rate: by the triangle inequality that
-// extra cost is at most λ·|q(prevA) − q(prevB)|.
-func prune(frontier map[stateKey]node, qOf []float64, lambda float64, noPrev int) map[stateKey]node {
-	type entry struct {
-		prev int
-		bBin int16
-		n    node
+// reset empties next and sizes the index for up to n distinct keys at a
+// load factor of at most one half.
+func (k *kernel) reset(n int) {
+	k.next = k.next[:0]
+	size, bits := 16, uint(4)
+	for size < 2*n {
+		size, bits = size*2, bits+1
 	}
-	groups := make(map[int32][]entry)
-	for k, n := range frontier {
-		groups[k.tBin] = append(groups[k.tBin], entry{k.prev, k.bBin, n})
+	if cap(k.index) < size {
+		k.index = make([]int32, size)
+	} else {
+		k.index = k.index[:size]
+		clear(k.index)
 	}
-	qp := func(p int) float64 {
-		if p == noPrev {
-			return math.Inf(1) // "no previous chunk" is never interchangeable
+	k.shift = 64 - bits
+}
+
+// insert adds n to next, or replaces the state with the same key if n is
+// better.
+func (k *kernel) insert(n state) {
+	mask := len(k.index) - 1
+	for h := int((n.key * 0x9e3779b97f4a7c15) >> k.shift); ; h = (h + 1) & mask {
+		slot := k.index[h]
+		if slot == 0 {
+			k.next = append(k.next, n)
+			k.index[h] = int32(len(k.next))
+			return
 		}
-		return qOf[p]
+		if old := &k.next[slot-1]; old.key == n.key {
+			if n.better(old) {
+				*old = n
+			}
+			return
+		}
 	}
-	out := make(map[stateKey]node, len(frontier))
-	for tBin, entries := range groups {
-		// Buffer-descending so a kept state can only be dominated by an
-		// earlier (higher-buffer) kept state. The small exact-time spread
-		// within a bin is treated as equal, an approximation inherent to
-		// the binning.
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].n.buf != entries[j].n.buf { //lint:allow floateq deterministic sort key; exact compare is the tie-break contract
-				return entries[i].n.buf > entries[j].n.buf
-			}
-			if entries[i].n.val != entries[j].n.val { //lint:allow floateq deterministic sort key; exact compare is the tie-break contract
-				return entries[i].n.val > entries[j].n.val
-			}
-			if entries[i].prev != entries[j].prev {
-				return entries[i].prev < entries[j].prev
-			}
-			return entries[i].n.t < entries[j].n.t
-		})
-		kept := entries[:0]
-		for _, e := range entries {
-			dominated := false
-			for _, d := range kept {
-				var gap float64
-				if d.prev != e.prev {
-					a, b := qp(d.prev), qp(e.prev)
-					if math.IsInf(a, 1) || math.IsInf(b, 1) {
-						continue
-					}
-					gap = lambda * math.Abs(a-b)
-				}
-				if d.n.val-e.n.val >= gap {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				kept = append(kept, e)
-				out[stateKey{prev: e.prev, tBin: tBin, bBin: e.bBin}] = e.n
+}
+
+// prune drops dominated states from next and returns the rest, written
+// over buf. Within a tBin group, sorted by buffer descending, a state can
+// only be dominated by a kept state before it. The best kept value per
+// previous action decides that exactly, since fl(x − v) is monotone in x:
+// some kept state clears the gap iff the best one with the same previous
+// action does. The small exact-time spread within a bin is treated as
+// equal, an approximation inherent to the binning.
+func (k *kernel) prune(noPrev int, buf []state) []state {
+	next := k.next
+	slices.SortFunc(next, compareStates)
+	out := buf[:0]
+	for g := 0; g < len(next); {
+		group := next[g].key >> 32
+		for p := range k.kept {
+			k.kept[p] = math.Inf(-1)
+		}
+		for ; g < len(next) && next[g].key>>32 == group; g++ {
+			e := &next[g]
+			if ep := e.prev(); !k.dominated(e.val, ep, noPrev) {
+				out = append(out, *e)
+				k.kept[ep] = max(k.kept[ep], e.val)
 			}
 		}
 	}
 	return out
+}
+
+// compareStates orders by time bin, then buffer and value descending,
+// then previous action and time.
+func compareStates(a, b state) int {
+	if c := cmp.Compare(a.key>>32, b.key>>32); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.buf, a.buf); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.val, a.val); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.prev(), b.prev()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.t, b.t)
+}
+
+// dominated reports whether a kept state of the current group dominates a
+// state of value v and previous action ep.
+func (k *kernel) dominated(v float64, ep, noPrev int) bool {
+	for p, kv := range k.kept {
+		var gap float64
+		if p != ep {
+			if p == noPrev || ep == noPrev {
+				continue // "no previous chunk" is never interchangeable
+			}
+			gap = k.gap[p*noPrev+ep]
+		}
+		if kv-v >= gap {
+			return true
+		}
+	}
+	return false
 }

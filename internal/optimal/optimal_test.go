@@ -11,7 +11,7 @@ import (
 	"mpcdash/internal/trace"
 )
 
-func newTestSolver(t *testing.T, m *model.Manifest) *Solver {
+func newTestSolver(t testing.TB, m *model.Manifest) *Solver {
 	t.Helper()
 	s, err := NewSolver(m, model.Balanced, model.QIdentity, 30)
 	if err != nil {
@@ -141,7 +141,7 @@ func TestFinerBinsDoNotDegrade(t *testing.T) {
 	}
 }
 
-// TestSolvePlanConsistency: the reconstructed plan's value matches Solve,
+// TestSolvePlanConsistency: the reconstructed plan's value is exactly Solve's,
 // replaying the plan through the exact dynamics reproduces the claimed QoE
 // (within quantization tolerance), and the schedule is well-formed.
 func TestSolvePlanConsistency(t *testing.T) {
@@ -156,7 +156,7 @@ func TestSolvePlanConsistency(t *testing.T) {
 	tr := trace.GenFCC(31, m.Duration()+60)
 	plan := s.SolvePlan(tr)
 	value := s.Solve(tr)
-	if math.Abs(plan.QoE-value) > 1e-6 {
+	if math.Float64bits(plan.QoE) != math.Float64bits(value) {
 		t.Errorf("plan QoE %v != Solve %v", plan.QoE, value)
 	}
 	if len(plan.Rates) != m.ChunkCount {

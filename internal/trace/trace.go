@@ -108,9 +108,44 @@ func (t *Trace) volumeTo(sec float64) float64 {
 	total := t.Duration()
 	passes := math.Floor(sec / total)
 	pos := sec - passes*total
+	return passes*t.cumKb[len(t.Samples)] + t.volumeIn(t.segmentAt(pos), pos)
+}
+
+// volumeIn returns the kilobits deliverable in [0, pos] of one pass, where
+// segment i contains pos.
+func (t *Trace) volumeIn(i int, pos float64) float64 {
+	return t.cumKb[i] + (pos-t.cumDur[i])*t.Samples[i].Kbps
+}
+
+// Cursor is a trace position resolved once for any number of transfers
+// that start there: the wrapped offset, its segment, the capacity left in
+// the pass and the volume delivered before it. Get one from Trace.At.
+type Cursor struct {
+	t        *Trace
+	pos      float64 // start wrapped into [0, Duration)
+	seg      int     // segment containing pos
+	passRest float64 // kilobits deliverable from pos to the end of the pass
+	base     float64 // kilobits deliverable from the pass start to pos
+}
+
+// At resolves the trace position of time offset start (wrapping).
+func (t *Trace) At(start float64) Cursor {
+	pos := t.wrap(start)
 	i := t.segmentAt(pos)
-	partial := t.cumKb[i] + (pos-t.cumDur[i])*t.Samples[i].Kbps
-	return passes*t.cumKb[len(t.Samples)] + partial
+	c := Cursor{
+		t:        t,
+		pos:      pos,
+		seg:      i,
+		passRest: t.cumKb[len(t.Samples)] - t.cumKb[i] - (pos-t.cumDur[i])*t.Samples[i].Kbps,
+	}
+	// volumeTo(pos) without its second segment search when pos lies in
+	// the first pass, which it does unless the division rounds up to 1.
+	if pos > 0 && pos/t.Duration() < 1 {
+		c.base = t.volumeIn(i, pos)
+	} else {
+		c.base = t.volumeTo(pos)
+	}
+	return c
 }
 
 // DownloadTime returns how long a transfer of size kilobits starting at time
@@ -118,44 +153,49 @@ func (t *Trace) volumeTo(sec float64) float64 {
 // for the finish time). Zero-rate segments are simply waited out. A transfer
 // that would never finish (all-zero trace) returns +Inf.
 func (t *Trace) DownloadTime(start, kilobits float64) float64 {
+	return t.At(start).DownloadTime(kilobits)
+}
+
+// DownloadTime is Trace.DownloadTime from the cursor's position.
+func (c Cursor) DownloadTime(kilobits float64) float64 {
 	if kilobits <= 0 {
 		return 0
 	}
+	t := c.t
 	perPass := t.cumKb[len(t.Samples)]
 	if perPass <= 0 {
 		return math.Inf(1)
 	}
-	total := t.Duration()
-	pos := t.wrap(start)
+	pos, seg, base := c.pos, c.seg, c.base
 	var elapsed float64
-
-	// Capacity remaining in the current pass from pos.
-	i := t.segmentAt(pos)
-	passRest := perPass - t.cumKb[i] - (pos-t.cumDur[i])*t.Samples[i].Kbps
-	if kilobits > passRest {
-		kilobits -= passRest
-		elapsed += total - pos
-		pos = 0
-		// Whole additional passes.
+	if kilobits > c.passRest {
+		// Finish the current pass, then whole additional passes.
+		kilobits -= c.passRest
+		elapsed += t.Duration() - pos
+		pos, seg, base = 0, 0, 0
 		passes := math.Floor(kilobits / perPass)
 		if kilobits == passes*perPass { //lint:allow floateq exact pass-boundary landing; both sides derive from the same floor()
 			passes-- // land exactly at a pass boundary: finish within the last one
 		}
 		if passes > 0 {
-			elapsed += passes * total
+			elapsed += passes * t.Duration()
 			kilobits -= passes * perPass
 		}
 	}
-	// Finish within the pass starting at pos. Binary search the cumulative
-	// volume for the finishing segment.
-	base := t.volumeTo(pos) // volume already delivered this pass before pos
+	// Finish within the pass starting at pos, in the segment before the
+	// first boundary whose cumulative volume reaches the target. The
+	// boundaries up to seg hold at most base, so a target above base skips
+	// them.
 	target := base + kilobits
-	// First segment index j with cumKb[j] >= target.
-	j := sort.Search(len(t.cumKb), func(k int) bool { return t.cumKb[k] >= target })
+	lo := 0
+	if target > base {
+		lo = seg + 1
+	}
+	j := lo + sort.Search(len(t.cumKb)-lo, func(k int) bool { return t.cumKb[lo+k] >= target })
 	if j == 0 {
 		j = 1
 	}
-	seg := j - 1
+	seg = j - 1
 	if seg >= len(t.Samples) {
 		seg = len(t.Samples) - 1
 	}

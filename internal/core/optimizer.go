@@ -126,7 +126,7 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	qMax := math.Inf(-1)
 	for lvl := 0; lvl < levels; lvl++ {
 		s.qual[lvl] = o.Quality(o.Manifest.Ladder[lvl])
-		qMax = math.Max(qMax, s.qual[lvl])
+		qMax = max(qMax, s.qual[lvl])
 	}
 
 	// Pad or truncate the forecast to exactly steps entries, extending with
@@ -136,7 +136,17 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 		if i < len(forecast) && forecast[i] > 0 {
 			last = forecast[i]
 		}
-		s.rates[i] = math.Max(last, minRate)
+		s.rates[i] = max(last, minRate)
+	}
+
+	// The download time of every (depth, level) pair depends on neither
+	// the buffer nor the path, so it is computed once per solve — for a
+	// startup solve, once for the whole Ts grid — instead of at every node.
+	for d := 0; d < steps; d++ {
+		row := s.dl[d*levels : (d+1)*levels]
+		for lvl := range row {
+			row[lvl] = o.Manifest.ChunkSize(k+d, lvl) / s.rates[d]
+		}
 	}
 
 	// optimistic[d] bounds the QoE attainable from depth d onward,
@@ -147,7 +157,7 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	}
 
 	if !startup {
-		lvl, q := o.search(s, k, buffer, prev, steps, levels)
+		lvl, q := o.search(s, buffer, prev, steps, levels)
 		return lvl, 0, q
 	}
 
@@ -159,14 +169,14 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	if step <= 0 {
 		step = 0.5
 	}
-	max := o.TsMax
-	if max <= 0 {
-		max = o.BufferMax
+	tsMax := o.TsMax
+	if tsMax <= 0 {
+		tsMax = o.BufferMax
 	}
-	n := int((max + 1e-9) / step)
+	n := int((tsMax + 1e-9) / step)
 	for i := 0; i <= n; i++ {
 		t := float64(i) * step
-		lvl, q := o.search(s, k, t, prev, steps, levels)
+		lvl, q := o.search(s, t, prev, steps, levels)
 		q -= o.Weights.MuS * t
 		// With µ = µs, trading startup delay for first-chunk stall is QoE
 		// neutral; among (near-)ties prefer the larger Ts, i.e. start
@@ -184,34 +194,49 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 // the lower level because ascending iteration only replaces on strict
 // improvement. The traversal is iterative over the Scratch's explicit
 // stacks — same visit order as the recursive formulation, node for node,
-// without the closure and call-frame allocations.
+// without the closure and call-frame allocations. The last depth scores
+// all of its leaves in one ascending loop rather than pushing a frame per
+// leaf; leaf siblings are never cut, so the order and the arithmetic are
+// unchanged.
 //
 //mpc:noalloc
-func (o *Optimizer) search(s *Scratch, k int, buffer float64, prev int, steps, levels int) (int, float64) {
-	man := o.Manifest
-	chunkDur := man.ChunkDuration
+func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels int) (int, float64) {
+	chunkDur := o.Manifest.ChunkDuration
 	bufMax := o.BufferMax
+	terminal := o.TerminalBufferWeight
 	mu, lambda := o.Weights.Mu, o.Weights.Lambda
 	prune := !o.DisablePruning
-	rates, qual, optimistic := s.rates, s.qual, s.optimistic
+	dlTab, qual, optimistic := s.dl, s.qual, s.optimistic
 	buf, acc, prv, choice, next := s.buf, s.acc, s.prv, s.choice, s.next
 
 	bestFirst, bestQoE := 0, math.Inf(-1)
 	buf[0], acc[0], prv[0] = buffer, 0, prev
 	next[0] = 0
+	last := steps - 1
 	d := 0
 	for d >= 0 {
-		if d == steps {
-			total := acc[d] + o.TerminalBufferWeight*buf[d]
-			if total > bestQoE {
-				bestQoE = total
-				bestFirst = choice[0]
-			}
-			d--
-			continue
-		}
 		if next[d] == 0 && prune && acc[d]+optimistic[d] <= bestQoE {
 			d-- // even a perfect completion cannot win
+			continue
+		}
+		if d == last {
+			b, a, p := buf[d], acc[d], prv[d]
+			for lvl, dl := range dlTab[d*levels : d*levels+levels] {
+				rebuffer := max(dl-b, 0)
+				afterDrain := max(b-dl, 0) + chunkDur
+				wait := max(afterDrain-bufMax, 0)
+
+				gain := qual[lvl] - mu*rebuffer
+				if p >= 0 {
+					gain -= lambda * math.Abs(qual[lvl]-qual[p])
+				}
+				if total := a + gain + terminal*(afterDrain-wait); total > bestQoE {
+					bestQoE = total
+					choice[d] = lvl
+					bestFirst = choice[0]
+				}
+			}
+			d-- // every leaf below this node is scored
 			continue
 		}
 		lvl := next[d]
@@ -221,11 +246,10 @@ func (o *Optimizer) search(s *Scratch, k int, buffer float64, prev int, steps, l
 		}
 		next[d] = lvl + 1
 
-		size := man.ChunkSize(k+d, lvl)
-		dl := size / rates[d]
-		rebuffer := math.Max(dl-buf[d], 0)
-		afterDrain := math.Max(buf[d]-dl, 0) + chunkDur
-		wait := math.Max(afterDrain-bufMax, 0)
+		dl := dlTab[d*levels+lvl]
+		rebuffer := max(dl-buf[d], 0)
+		afterDrain := max(buf[d]-dl, 0) + chunkDur
+		wait := max(afterDrain-bufMax, 0)
 
 		gain := qual[lvl] - mu*rebuffer
 		if p := prv[d]; p >= 0 {

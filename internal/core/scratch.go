@@ -3,10 +3,10 @@ package core
 import "sync"
 
 // Scratch holds the reusable working memory for one Plan solve: the padded
-// horizon forecast, the branch-and-bound optimistic bounds, the per-level
-// quality values hoisted out of the enumeration, and the explicit
-// depth-first traversal stacks that replace the recursive closure. A
-// Scratch grows to fit the largest (horizon, ladder) it has seen and is
+// horizon forecast, the per-solve download-time table, the branch-and-bound
+// optimistic bounds, the per-level quality values hoisted out of the
+// enumeration, and the explicit depth-first traversal stacks that replace
+// the recursive closure. A Scratch grows to fit the largest (horizon, ladder) it has seen and is
 // then reused allocation-free; the zero value is ready to use.
 //
 // A Scratch is owned by exactly one goroutine at a time. Optimizer.Plan
@@ -16,10 +16,12 @@ import "sync"
 // Optimizer.PlanScratch directly for a zero-allocation steady state.
 type Scratch struct {
 	rates      []float64 // horizon forecast, padded and floored at minRate
+	dl         []float64 // dl[d*levels+lvl]: ChunkSize(k+d, lvl) / rates[d]
 	optimistic []float64 // optimistic[d]: QoE bound attainable from depth d
 	qual       []float64 // Quality(Ladder[lvl]) per level, computed per solve
 
-	// Iterative DFS stacks, indexed by depth d ∈ [0, steps].
+	// Iterative DFS stacks, indexed by depth d ∈ [0, steps); the last
+	// depth scores its leaves in place and pushes nothing.
 	buf    []float64 // buffer level entering depth d
 	acc    []float64 // QoE accumulated entering depth d
 	prv    []int     // previous level entering depth d (−1 = none)
@@ -31,13 +33,14 @@ type Scratch struct {
 // reusing existing capacity.
 func (s *Scratch) grow(steps, levels int) {
 	s.rates = growFloats(s.rates, steps)
+	s.dl = growFloats(s.dl, steps*levels)
 	s.optimistic = growFloats(s.optimistic, steps+1)
 	s.qual = growFloats(s.qual, levels)
-	s.buf = growFloats(s.buf, steps+1)
-	s.acc = growFloats(s.acc, steps+1)
-	s.prv = growInts(s.prv, steps+1)
-	s.choice = growInts(s.choice, steps+1)
-	s.next = growInts(s.next, steps+1)
+	s.buf = growFloats(s.buf, steps)
+	s.acc = growFloats(s.acc, steps)
+	s.prv = growInts(s.prv, steps)
+	s.choice = growInts(s.choice, steps)
+	s.next = growInts(s.next, steps)
 }
 
 func growFloats(b []float64, n int) []float64 {

@@ -64,9 +64,9 @@ func refSearch(o *Optimizer, k int, buffer float64, prev int, rates []float64, s
 	return bestFirst, bestQoE
 }
 
-// refPlan wraps refSearch with the original padding logic for steady-state
-// solves.
-func refPlan(o *Optimizer, k int, buffer float64, prev int, forecast []float64) (int, float64) {
+// refPlan wraps refSearch with the original padding logic and, for
+// startup solves, the original Ts-grid loop.
+func refPlan(o *Optimizer, k int, buffer float64, prev int, forecast []float64, startup bool) (int, float64, float64) {
 	steps := o.Horizon
 	if rem := o.Manifest.ChunkCount - k; rem < steps {
 		steps = rem
@@ -79,40 +79,90 @@ func refPlan(o *Optimizer, k int, buffer float64, prev int, forecast []float64) 
 		}
 		rates[i] = math.Max(last, minRate)
 	}
-	return refSearch(o, k, buffer, prev, rates, steps)
+	if !startup {
+		lvl, q := refSearch(o, k, buffer, prev, rates, steps)
+		return lvl, 0, q
+	}
+	bestLevel, bestTs, bestQoE := 0, 0.0, math.Inf(-1)
+	step := o.TsStep
+	if step <= 0 {
+		step = 0.5
+	}
+	max := o.TsMax
+	if max <= 0 {
+		max = o.BufferMax
+	}
+	n := int((max + 1e-9) / step)
+	for i := 0; i <= n; i++ {
+		t := float64(i) * step
+		lvl, q := refSearch(o, k, t, prev, rates, steps)
+		q -= o.Weights.MuS * t
+		if q > bestQoE+1e-6 || (q > bestQoE-1e-6 && t > bestTs) {
+			bestLevel, bestTs, bestQoE = lvl, t, q
+		}
+	}
+	return bestLevel, bestTs, bestQoE
 }
 
 // TestIterativeSearchMatchesRecursive: the explicit-stack DFS is a
-// mechanical transformation of the recursion, so on a large random state
-// sweep both must agree exactly — same level, same QoE bits.
+// mechanical transformation of the recursion, so on a random state sweep
+// both must agree exactly — same level, same Ts, same QoE bits. The sweep
+// covers CBR and VBR manifests (one short enough that most horizons are
+// truncated), horizons 1–9, three buffer caps, a terminal buffer reward,
+// empty buffers, empty and short forecasts with zero entries, and startup
+// solves, each with pruning on and off.
 func TestIterativeSearchMatchesRecursive(t *testing.T) {
-	m := model.EnvivioManifest()
+	vbr, err := model.NewVBRManifest(model.EnvivioLadder(), 65, 4, 0.3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := model.NewVBRManifest(model.EnvivioLadder(), 7, 2, 0.5, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifests := []*model.Manifest{model.EnvivioManifest(), vbr, short}
+	allWeights := []model.Weights{model.Balanced, model.AvoidInstability, model.AvoidRebuffering, {Lambda: 0.5, Mu: 150, MuS: 300}}
 	rng := rand.New(rand.NewSource(11))
-	for _, pruning := range []bool{false, true} {
-		for _, weights := range []model.Weights{model.Balanced, model.AvoidInstability, {Lambda: 1, Mu: 3000, MuS: 3000}} {
-			opt, err := NewOptimizer(m, weights, model.QIdentity, 30, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.DisablePruning = !pruning
-			opt.TerminalBufferWeight = float64(rng.Intn(2)) * 0.1
-			var s Scratch
-			for i := 0; i < 400; i++ {
-				k := rng.Intn(m.ChunkCount)
-				buffer := rng.Float64() * 35
-				prev := rng.Intn(m.Levels()+1) - 1
-				forecast := make([]float64, rng.Intn(6))
-				for j := range forecast {
-					forecast[j] = rng.Float64() * 6000
-				}
-				wantLvl, wantQoE := refPlan(opt, k, buffer, prev, forecast)
-				gotLvl, ts, gotQoE := opt.PlanScratch(&s, k, buffer, prev, forecast, false)
-				if gotLvl != wantLvl || gotQoE != wantQoE { //lint:allow floateq bit-identical QoE is the point: same arithmetic in a different control flow
-					t.Fatalf("pruning=%v state(k=%d,B=%.3f,prev=%d,f=%v): iterative (%d, %v) != recursive (%d, %v)",
-						pruning, k, buffer, prev, forecast, gotLvl, gotQoE, wantLvl, wantQoE)
-				}
-				if ts != 0 { //lint:allow floateq steady-state Ts is the exact constant 0
-					t.Fatalf("steady-state Ts = %v, want 0", ts)
+	for mi, m := range manifests {
+		levels := m.Levels()
+		for horizon := 1; horizon <= 9; horizon++ {
+			// Keep every configuration to a few hundred thousand leaves
+			// of unpruned enumeration.
+			leaves := int(math.Pow(float64(levels), float64(horizon)))
+			states := min(max(200000/leaves, 2), 40)
+			for _, bufMax := range []float64{10, 30, 60} {
+				for _, pruning := range []bool{false, true} {
+					weights := allWeights[rng.Intn(len(allWeights))]
+					opt, err := NewOptimizer(m, weights, model.QIdentity, bufMax, horizon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.DisablePruning = !pruning
+					opt.TerminalBufferWeight = float64(rng.Intn(2)) * 300
+					var s Scratch
+					for i := 0; i < states; i++ {
+						k := rng.Intn(m.ChunkCount)
+						buffer := rng.Float64() * (bufMax + 5)
+						if rng.Intn(6) == 0 {
+							buffer = 0
+						}
+						prev := rng.Intn(levels+1) - 1
+						forecast := make([]float64, rng.Intn(horizon+2))
+						for j := range forecast {
+							if rng.Intn(5) > 0 {
+								forecast[j] = rng.Float64() * 6000
+							}
+						}
+						// Startup sweeps the whole Ts grid; keep it to the
+						// horizons where that stays cheap.
+						startup := leaves <= 3125 && rng.Intn(8) == 0
+						wantLvl, wantTs, wantQoE := refPlan(opt, k, buffer, prev, forecast, startup)
+						gotLvl, gotTs, gotQoE := opt.PlanScratch(&s, k, buffer, prev, forecast, startup)
+						if gotLvl != wantLvl || math.Float64bits(gotTs) != math.Float64bits(wantTs) || math.Float64bits(gotQoE) != math.Float64bits(wantQoE) {
+							t.Fatalf("manifest %d, N=%d, Bmax=%v, pruning=%v, startup=%v, state(k=%d,B=%.3f,prev=%d,f=%v): iterative (%d, %v, %v) != recursive (%d, %v, %v)",
+								mi, horizon, bufMax, pruning, startup, k, buffer, prev, forecast, gotLvl, gotTs, gotQoE, wantLvl, wantTs, wantQoE)
+						}
+					}
 				}
 			}
 		}

@@ -203,9 +203,9 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 				if math.IsInf(dl, 1) {
 					continue
 				}
-				rebuffer := math.Max(dl-st.buf, 0)
-				afterDrain := math.Max(st.buf-dl, 0) + s.Manifest.ChunkDuration
-				wait := math.Max(afterDrain-s.BufferMax, 0)
+				rebuffer := max(dl-st.buf, 0)
+				afterDrain := max(st.buf-dl, 0) + s.Manifest.ChunkDuration
+				wait := max(afterDrain-s.BufferMax, 0)
 				nb := afterDrain - wait
 				nt := st.t + dl + wait
 

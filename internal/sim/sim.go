@@ -134,10 +134,10 @@ func Run(m *model.Manifest, tr *trace.Trace, ctrl abr.Controller, pred predictor
 			buffer = res.StartupDelay
 		}
 
-		rebuffer := math.Max(dl-buffer, 0)
-		afterDrain := math.Max(buffer-dl, 0) + m.ChunkDuration // (B_k − d/C)+ + L
-		wait := math.Max(afterDrain-cfg.BufferMax, 0)          // Δt_k, Eq. (4)
-		next := afterDrain - wait                              // B_{k+1}, Eq. (3)
+		rebuffer := max(dl-buffer, 0)
+		afterDrain := max(buffer-dl, 0) + m.ChunkDuration // (B_k − d/C)+ + L
+		wait := max(afterDrain-cfg.BufferMax, 0)          // Δt_k, Eq. (4)
+		next := afterDrain - wait                         // B_{k+1}, Eq. (3)
 
 		pred.Observe(throughput)
 		var predicted float64

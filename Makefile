@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-alloc lint-fixtures fuzz verify bench-solver bench-svc trace-demo fleet-demo svc-demo
+.PHONY: build test race vet lint lint-fixtures fuzz verify bench-solver bench-svc trace-demo fleet-demo svc-demo
 
 build:
 	$(GO) build ./...
@@ -10,16 +10,12 @@ vet:
 
 # lint runs mpclint, the project-specific static analyzers enforcing the
 # determinism / float-safety / map-order / stdlib-only / ctx-leak /
-# lock-scope / no-alloc / atomic-discipline / HTTP-contract invariants
+# lock-scope / HTTP-contract invariants, plus the //mpc:noalloc check
+# against the compiler's escape analysis (go build -gcflags=-m): an
+# escape or heap-move site inside an annotated function is a finding
 # (DESIGN.md §4e, §4h). Non-zero exit on any finding.
 lint:
 	$(GO) run ./cmd/mpclint ./...
-
-# lint-alloc cross-checks every //mpc:noalloc annotation against the
-# compiler's escape analysis (go build -gcflags=-m): an escape or
-# heap-move site inside an annotated function fails the build.
-lint-alloc:
-	$(GO) run ./cmd/mpclint -alloccheck ./...
 
 # lint-fixtures runs the analyzer golden-fixture tests (testdata trees with
 # `// want "..."` expectations) and the mpclint CLI smoke tests.
@@ -50,12 +46,12 @@ verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) run ./cmd/mpclint ./...
-	$(GO) run ./cmd/mpclint -alloccheck ./...
 	$(GO) test -race ./...
 
 # bench-solver measures the MPC solver hot path (ns/op, allocs/op) and the
 # cold vs warm FastMPC table cache, logs the numbers, and fails if the
-# zero-allocation or warm-beats-cold budget is blown. perfbench/ is the
+# warm-beats-cold budget is blown (the zero-allocation budget is core's
+# AllocsPerRun tests). perfbench/ is the
 # tracked, layer-by-layer benchmark.
 bench-solver:
 	$(GO) test -run TestSolverPerformance -count=1 -v .

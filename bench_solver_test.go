@@ -2,9 +2,9 @@
 // latency and allocations for the exact MPC solver, and cold-vs-warm
 // FastMPC table acquisition through the content-addressed cache.
 // TestSolverPerformance logs the measured numbers (see `make bench-solver`)
-// and asserts the two hard budgets: the steady-state scratch path
-// allocates nothing, and a warm disk cache is faster than an offline
-// rebuild.
+// and asserts that a warm disk cache is faster than an offline rebuild;
+// the zero-allocation budget of the scratch path is core's AllocsPerRun
+// tests.
 package mpcdash_test
 
 import (
@@ -132,8 +132,9 @@ func BenchmarkSolver_TableCacheDiskWarm(b *testing.B) {
 }
 
 // TestSolverPerformance measures the solver budgets and logs the numbers.
-// Asserted: the steady-state scratch path is
-// allocation-free, and loading a warm disk cache beats rebuilding.
+// Asserted: loading a warm disk cache beats rebuilding. The zero-alloc
+// budgets of the scratch and Decide paths are core's AllocsPerRun tests
+// (TestPlanScratchZeroAllocs, TestMPCDecideZeroAllocs).
 func TestSolverPerformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark report; skipped in -short mode")
@@ -153,12 +154,6 @@ func TestSolverPerformance(t *testing.T) {
 	t.Logf("table: cold build %d ns/op, memory-warm %d ns/op, disk-warm %d ns/op",
 		cold.NsPerOp(), memWarm.NsPerOp(), diskWarm.NsPerOp())
 
-	if scratch.AllocsPerOp() != 0 {
-		t.Errorf("steady-state PlanScratch allocates %d objects/op, want 0", scratch.AllocsPerOp())
-	}
-	if decide.AllocsPerOp() != 0 {
-		t.Errorf("steady-state MPC.Decide allocates %d objects/op, want 0", decide.AllocsPerOp())
-	}
 	if diskWarm.NsPerOp() >= cold.NsPerOp() {
 		t.Errorf("warm disk cache (%d ns/op) is not faster than a cold build (%d ns/op)",
 			diskWarm.NsPerOp(), cold.NsPerOp())
@@ -175,7 +170,7 @@ func TestSolverPerformance(t *testing.T) {
 		"table_memory_warm_ns_op": memWarm.NsPerOp(),
 		"table_disk_warm_ns_op":   diskWarm.NsPerOp(),
 		"table_disk_warm_speedup": float64(cold.NsPerOp()) / float64(diskWarm.NsPerOp()),
-		"budget":                  "plan_scratch_allocs_op == 0 && mpc_decide_allocs_op == 0 && disk warm < cold build",
+		"budget":                  "disk warm < cold build",
 	}, "", "  ")
 	if err != nil {
 		t.Fatal(err)

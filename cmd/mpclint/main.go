@@ -1,18 +1,17 @@
 // Command mpclint runs the repo's project-specific static analyzers: the
 // determinism, float-safety, map-order, stdlib-only, goroutine-leak,
-// lock-scope, no-alloc, atomic-discipline and HTTP-contract invariants the
-// paper reproduction depends on (DESIGN.md §4e, §4h).
+// lock-scope and HTTP-contract invariants the paper reproduction depends
+// on (DESIGN.md §4e, §4h). When the loaded packages carry //mpc:noalloc
+// annotations, the same run reconciles them against `go build
+// -gcflags=-m` escape analysis (check "alloccheck").
 //
 // Usage:
 //
-//	mpclint [-json] [-checks list] [-list] [-alloccheck] [packages...]
+//	mpclint [-json] [-list] [packages...]
 //
-// Packages default to ./... relative to the enclosing module root. With
-// -alloccheck, instead of running the analyzers, the //mpc:noalloc
-// annotation inventory is reconciled against `go build -gcflags=-m`
-// escape-analysis output (the compiler side of the no-alloc contract;
-// `make lint-alloc`). Exit status: 0 clean, 1 findings, 2 usage or load
-// failure.
+// Packages default to ./... relative to the enclosing module root. All
+// findings form one position-sorted stream. Exit status: 0 clean, 1
+// findings, 2 usage, load or build failure.
 package main
 
 import (
@@ -35,9 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mpclint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
-	allocCheck := fs.Bool("alloccheck", false, "reconcile //mpc:noalloc annotations against go build -gcflags=-m escape output")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -46,18 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-15s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	analyzers, err := lint.AnalyzersByName(*checks)
-	if err != nil {
-		// An unknown name must be a loud usage error, never a silent run
-		// of zero analyzers.
-		fmt.Fprintln(stderr, "mpclint:", err)
-		names := make([]string, 0, len(lint.Analyzers()))
-		for _, a := range lint.Analyzers() {
-			names = append(names, a.Name)
-		}
-		fmt.Fprintf(stderr, "usage: mpclint [-json] [-checks list] [-list] [-alloccheck] [packages...]\nknown checks: %s\n", strings.Join(names, ", "))
-		return 2
 	}
 
 	cwd, err := os.Getwd()
@@ -98,11 +83,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *allocCheck {
-		return runAllocCheck(pkgs, root, patterns, cwd, *jsonOut, stdout, stderr)
+	diags, err := lint.Check(pkgs)
+	if err != nil {
+		fmt.Fprintln(stderr, "mpclint:", err)
+		return 2
 	}
-
-	diags := lint.Run(pkgs, analyzers)
 	for i := range diags {
 		if rel, err := filepath.Rel(cwd, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].File = rel
@@ -121,61 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
-		}
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runAllocCheck is the -alloccheck mode: collect the //mpc:noalloc
-// inventory from the loaded packages, run the same patterns through
-// `go build -gcflags=-m`, and report every compiler heap-allocation site
-// that lands inside an annotated function.
-func runAllocCheck(pkgs []*lint.Package, root string, patterns []string, cwd string, jsonOut bool, stdout, stderr io.Writer) int {
-	inventory := lint.NoAllocInventory(pkgs)
-	if len(inventory) == 0 {
-		fmt.Fprintln(stderr, "mpclint: -alloccheck found no //mpc:noalloc annotations in the loaded packages")
-		return 2
-	}
-	buildPatterns := make([]string, len(patterns))
-	for i, p := range patterns {
-		rel, err := filepath.Rel(root, p)
-		if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
-			fmt.Fprintf(stderr, "mpclint: pattern %s is outside module root %s\n", p, root)
-			return 2
-		}
-		buildPatterns[i] = "./" + filepath.ToSlash(rel)
-	}
-	sites, raw, err := lint.BuildEscapes(root, buildPatterns)
-	if err != nil {
-		fmt.Fprintln(stderr, "mpclint:", err)
-		io.WriteString(stderr, raw)
-		return 2
-	}
-	diags := lint.AllocCheck(inventory, sites)
-	for i := range diags {
-		if rel, err := filepath.Rel(cwd, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
-			diags[i].File = rel
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(stderr, "mpclint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
-		if len(diags) == 0 {
-			fmt.Fprintf(stdout, "alloccheck: %d //mpc:noalloc functions, %d compiler escape sites, 0 inside annotated ranges\n", len(inventory), len(sites))
 		}
 	}
 	if len(diags) > 0 {

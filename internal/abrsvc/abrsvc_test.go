@@ -98,7 +98,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.PredictedKbps != 2400 { //lint:allow floateq harmonic mean of one sample is exact
+	if d1.PredictedKbps != 2400 {
 		t.Errorf("predicted = %v, want 2400 (harmonic mean of one sample)", d1.PredictedKbps)
 	}
 
@@ -121,7 +121,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.PredictedKbps != 2400 { //lint:allow floateq two equal samples have an exact harmonic mean
+	if d2.PredictedKbps != 2400 {
 		t.Errorf("replayed 9999 leaked into the predictor: predicted = %v, want 2400", d2.PredictedKbps)
 	}
 
@@ -267,6 +267,30 @@ func TestDecideParityWithLocalController(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecidePathZeroAllocs is the runtime witness of //mpc:noalloc on the
+// decide path's shard hash and link-group sample pick. The sample slice is
+// full (len == cap), so any append on it would have to grow.
+func TestDecidePathZeroAllocs(t *testing.T) {
+	st := newStore(16, time.Minute, 100, time.Now, nil)
+	id := "fleet.fastmpc.7.12"
+	samples := []float64{1800, 2400, 0}
+	var hits int
+	var sum float64
+	if allocs := testing.AllocsPerRun(200, func() {
+		if st.shardFor(id) != nil {
+			hits++
+		}
+	}); allocs != 0 {
+		t.Errorf("(*store).shardFor allocates %.2f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { sum += lastSample(samples) }); allocs != 0 {
+		t.Errorf("lastSample allocates %.2f objects/op, want 0", allocs)
+	}
+	if hits == 0 || sum == 0 {
+		t.Fatal("decide-path helpers never ran")
 	}
 }
 
@@ -589,7 +613,7 @@ func TestFairnessShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if da.FairShareKbps != 5000 { //lint:allow floateq (8000+2000)/2 is exact in binary
+	if da.FairShareKbps != 5000 {
 		t.Errorf("session a fair share = %v, want 5000", da.FairShareKbps)
 	}
 	// B's forecast (2000) is under the share: the cap must not bind.
@@ -597,7 +621,7 @@ func TestFairnessShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.FairShareKbps != 0 { //lint:allow floateq 0 is the "cap did not bind" sentinel
+	if db.FairShareKbps != 0 {
 		t.Errorf("session b fair share = %v, want 0 (cap not binding)", db.FairShareKbps)
 	}
 
@@ -609,7 +633,7 @@ func TestFairnessShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db2.FairShareKbps != 0 { //lint:allow floateq 0 is the "cap did not bind" sentinel
+	if db2.FairShareKbps != 0 {
 		t.Errorf("sole group member capped at %v, want uncapped", db2.FairShareKbps)
 	}
 }

@@ -120,7 +120,7 @@ func FuzzDecideRequestJSON(f *testing.F) {
 			if resp.Level < 0 || resp.Level >= len(ss.ladder) {
 				t.Fatalf("decide chose level %d outside ladder of %d", resp.Level, len(ss.ladder))
 			}
-			if resp.BitrateKbps != ss.ladder[resp.Level] { //lint:allow floateq quoted bitrate must be the ladder entry, bit-exact
+			if resp.BitrateKbps != ss.ladder[resp.Level] {
 				t.Fatalf("decide quoted %v kbps for level %d, ladder says %v", resp.BitrateKbps, resp.Level, ss.ladder[resp.Level])
 			}
 			if resp.Chunk != req.Chunk || resp.Session != "fuzz" {

@@ -183,7 +183,7 @@ func TestPlanMatchesPlanScratch(t *testing.T) {
 		startup := i%4 == 0 && k == 0
 		l1, t1, q1 := opt.Plan(k, buffer, prev, forecast, startup)
 		l2, t2, q2 := opt.PlanScratch(&s, k, buffer, prev, forecast, startup)
-		if l1 != l2 || t1 != t2 || q1 != q2 { //lint:allow floateq same solver, same inputs: bit-identical by construction
+		if l1 != l2 || t1 != t2 || q1 != q2 {
 			t.Fatalf("Plan (%d,%v,%v) != PlanScratch (%d,%v,%v)", l1, t1, q1, l2, t2, q2)
 		}
 	}
@@ -198,7 +198,7 @@ func TestPlanClampsPreviousLevel(t *testing.T) {
 	wantLvl, _, wantQoE := opt.Plan(10, 14.2, top, []float64{1740}, false)
 	for _, prev := range []int{top + 1, top + 37, 1 << 20} {
 		gotLvl, _, gotQoE := opt.Plan(10, 14.2, prev, []float64{1740}, false)
-		if gotLvl != wantLvl || gotQoE != wantQoE { //lint:allow floateq clamped input must take the identical solve path
+		if gotLvl != wantLvl || gotQoE != wantQoE {
 			t.Errorf("prev=%d: (%d, %v), want clamp to prev=%d: (%d, %v)", prev, gotLvl, gotQoE, top, wantLvl, wantQoE)
 		}
 	}
@@ -216,14 +216,14 @@ func TestStartupGridExact(t *testing.T) {
 	// Ts, so the solver must reach the last grid point exactly.
 	opt.Weights.MuS = 0
 	_, ts, _ := opt.Plan(0, 0, -1, []float64{1740}, true)
-	if want := float64(300) * 0.1; ts != want { //lint:allow floateq the grid point must be the exact product, not an accumulated sum
+	if want := float64(300) * 0.1; ts != want {
 		t.Errorf("Ts = %v, want the exact final grid point %v", ts, want)
 	}
 	// Sanity: every grid point is an exact multiple of the step.
 	opt.Weights.MuS = 3000
 	_, ts, _ = opt.Plan(0, 0, -1, []float64{900}, true)
 	i := math.Round(ts / 0.1)
-	if ts != float64(i)*0.1 { //lint:allow floateq grid points are defined as exact products
+	if ts != float64(i)*0.1 {
 		t.Errorf("Ts = %v is not an exact multiple of the 0.1 grid step", ts)
 	}
 }

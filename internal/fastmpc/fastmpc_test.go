@@ -147,6 +147,26 @@ func TestCompressedLookupEquivalence(t *testing.T) {
 	}
 }
 
+// TestLookupZeroAllocs is the runtime witness of //mpc:noalloc on both
+// table lookups and the bin mappers, index and run search beneath them:
+// the per-decision online phase costs no heap allocation.
+func TestLookupZeroAllocs(t *testing.T) {
+	_, table := smallTable(t)
+	c := Compress(table)
+	levels := 0
+	for name, lookup := range map[string]func(float64, int, float64) int{
+		"(*Table).Lookup":           table.Lookup,
+		"(*CompressedTable).Lookup": c.Lookup,
+	} {
+		if allocs := testing.AllocsPerRun(200, func() { levels += lookup(14.2, 2, 1740) }); allocs != 0 {
+			t.Errorf("%s allocates %.2f objects/op, want 0", name, allocs)
+		}
+	}
+	if levels == 0 {
+		t.Fatal("lookups never ran")
+	}
+}
+
 // TestRLEProperty: encode→decode is the identity on arbitrary byte tables.
 func TestRLEProperty(t *testing.T) {
 	f := func(entries []uint8) bool {

@@ -51,9 +51,9 @@ func (c *CompressedTable) Decompress() *Table {
 func (c *CompressedTable) Runs() int { return len(c.Starts) }
 
 // at returns the value at flat index i via binary search over run starts.
-// The search is hand-rolled rather than sort.Search: the closure argument
-// is a capture the noalloc contract forbids, and the per-decision lookup
-// is the one operation the paper's online phase pays for.
+// The search is hand-rolled rather than sort.Search, which would pay an
+// indirect closure call per probe on the decide path; the per-decision
+// lookup is the one operation the paper's online phase pays for.
 //
 //mpc:noalloc
 func (c *CompressedTable) at(i int) uint8 {

@@ -150,7 +150,7 @@ func (f *Fleet) playSvcSession(ctx context.Context, ps *popState, session int) (
 			return sessionStats{}, err
 		}
 		if derr := f.svc.client.Delete(ctx, id); derr != nil {
-			return sessionStats{}, err
+			return sessionStats{}, derr
 		}
 		if _, rerr := f.svc.client.Register(ctx, req); rerr != nil {
 			return sessionStats{}, rerr

@@ -3,11 +3,18 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"mpcdash/internal/abrsvc"
+	"mpcdash/internal/fastmpc"
 	"mpcdash/internal/model"
 )
 
@@ -171,5 +178,74 @@ func TestSvcBackendMatchesSim(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("sim and svc reports differ:\n--- sim\n%s\n--- svc\n%s", a, b)
+	}
+}
+
+// TestSvcSessionReclaim covers the 409 path of playSvcSession against an
+// external abrd (Options.SvcURL): a stub in front of a real service
+// answers the first register with 409, as for an ID a crashed prior run
+// left resident, and the reclaiming delete with the case's status. A
+// successful reclaim re-registers and plays; a failed one returns the
+// delete's error, not the register's.
+func TestSvcSessionReclaim(t *testing.T) {
+	backend := abrsvc.New(abrsvc.Config{Tables: fastmpc.NewRegistry()}).Handler()
+	for _, tc := range []struct {
+		name   string
+		status int
+	}{
+		{"delete succeeds", http.StatusNoContent},
+		{"delete fails", http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var registers, deletes atomic.Int32
+			reply := func(w http.ResponseWriter, status int, msg string) {
+				if status == http.StatusNoContent {
+					w.WriteHeader(status)
+					return
+				}
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(status)
+				_ = json.NewEncoder(w).Encode(abrsvc.ErrorResponse{Error: msg})
+			}
+			stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.Method == http.MethodPost && r.URL.Path == "/v1/session" && registers.Add(1) == 1:
+					reply(w, http.StatusConflict, "session already registered")
+				case r.Method == http.MethodDelete && deletes.Add(1) == 1:
+					reply(w, tc.status, "stub delete")
+				default:
+					backend.ServeHTTP(w, r)
+				}
+			}))
+			defer stub.Close()
+
+			f, err := New(svcTestScenario(2), Options{Backend: BackendSvc, SvcURL: stub.URL})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if f.svc, err = f.startSvc(ctx); err != nil {
+				t.Fatal(err)
+			}
+			defer f.svc.close(ctx)
+
+			stats, err := f.playSvcSession(ctx, f.pops[0], 0)
+			if tc.status == http.StatusNoContent {
+				if err != nil {
+					t.Fatalf("reclaimed session failed: %v", err)
+				}
+				if stats.chunks == 0 || registers.Load() != 2 {
+					t.Fatalf("played %d chunks after %d registers, want > 0 after 2", stats.chunks, registers.Load())
+				}
+				return
+			}
+			var apiErr *abrsvc.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != tc.status {
+				t.Fatalf("got error %v, want the delete's %d", err, tc.status)
+			}
+			if registers.Load() != 1 {
+				t.Fatalf("%d registers after a failed reclaim, want 1", registers.Load())
+			}
+		})
 	}
 }

@@ -6,19 +6,30 @@ import (
 	"testing"
 )
 
+// syntheticM mixes position forms the way a replayed build cache does:
+// module-root-relative, relative to some other build directory, and bare
+// base names. The header above a line, not its path, names the package.
 const syntheticM = `# mpcdash/internal/fastmpc
 internal/fastmpc/table.go:57:6: can inline BinSpec.BufferBin
 internal/fastmpc/table.go:139:7: &Table{...} escapes to heap
-internal/fastmpc/table.go:142:16: make([]uint8, n) escapes to heap
+../fastmpc/table.go:142:16: make([]uint8, n) escapes to heap
 internal/fastmpc/rle.go:60:2: leaking param: c to result ~r0 level=1
-internal/fastmpc/rle.go:75:13: moved to heap: lo
+./rle.go:75:13: moved to heap: lo
 internal/fastmpc/rle.go:90:3: buf does not escape
 not a position line
-internal/core/optimizer.go:100:14: s escapes to heap
+# mpcdash/internal/core
+optimizer.go:100:14: s escapes to heap
+# mpcdash/internal/unlisted
+internal/unlisted/x.go:3:1: y escapes to heap
 `
 
+var syntheticDirs = map[string]string{
+	"mpcdash/internal/fastmpc": "/mod/internal/fastmpc",
+	"mpcdash/internal/core":    "/mod/internal/core",
+}
+
 func TestParseEscapes(t *testing.T) {
-	sites := ParseEscapes(syntheticM, "/mod")
+	sites := ParseEscapes(syntheticM, syntheticDirs)
 	want := []EscapeSite{
 		{File: "/mod/internal/fastmpc/table.go", Line: 139, Col: 7, Message: "&Table{...} escapes to heap"},
 		{File: "/mod/internal/fastmpc/table.go", Line: 142, Col: 16, Message: "make([]uint8, n) escapes to heap"},
@@ -40,7 +51,7 @@ func TestAllocCheckMatching(t *testing.T) {
 		{Name: "fastmpc.(*CompressedTable).at", File: "/mod/internal/fastmpc/rle.go", StartLine: 70, EndLine: 85},
 		{Name: "core.(*Optimizer).PlanScratch", File: "/mod/internal/core/optimizer.go", StartLine: 96, EndLine: 180},
 	}
-	sites := ParseEscapes(syntheticM, "/mod")
+	sites := ParseEscapes(syntheticM, syntheticDirs)
 	diags := AllocCheck(inventory, sites)
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2: %+v", len(diags), diags)
@@ -78,22 +89,26 @@ func TestAllocCheckBoundaries(t *testing.T) {
 }
 
 // TestBuildEscapesReal smoke-tests the go build plumbing on one real
-// package and checks relative positions resolve against the module root.
+// package and checks positions resolve to absolute paths.
 func TestBuildEscapesReal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the compiler")
 	}
-	root, _ := moduleRoot(t)
-	sites, raw, err := BuildEscapes(root, []string{"./internal/fastmpc"})
+	root, module := moduleRoot(t)
+	pkgs, err := Load(LoadConfig{Dir: root, ModulePath: module, Patterns: []string{"internal/fastmpc"}})
 	if err != nil {
-		t.Fatalf("BuildEscapes: %v\n%s", err, raw)
+		t.Fatal(err)
+	}
+	sites, err := BuildEscapes(pkgs)
+	if err != nil {
+		t.Fatalf("BuildEscapes: %v", err)
 	}
 	if len(sites) == 0 {
 		t.Fatal("expected escape sites in fastmpc (Build/Serialize allocate); -m output may not have reached the compiler")
 	}
 	for _, s := range sites {
-		if !filepath.IsAbs(s.File) {
-			t.Errorf("site file not absolute: %q", s.File)
+		if filepath.Dir(s.File) != pkgs[0].Dir {
+			t.Errorf("site file %q does not resolve into %s", s.File, pkgs[0].Dir)
 		}
 	}
 }

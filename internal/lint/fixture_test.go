@@ -70,39 +70,64 @@ func loadFixture(t *testing.T, fixture string) []*Package {
 	return pkgs
 }
 
-// TestFixtures runs each analyzer over its golden fixture tree and matches
-// findings against the inline want comments: every want must be hit and
-// every finding must be wanted, which also proves the suppression and
-// scoping negative cases (their lines carry no want).
+// matchWants matches findings against the want comments under root: every
+// want must be hit and every finding must be wanted, which also proves the
+// suppression and scoping negative cases (their lines carry no want).
+func matchWants(t *testing.T, diags []Diagnostic, root string) {
+	t.Helper()
+	wants := collectWants(t, root)
+	for _, d := range diags {
+		key := fmt.Sprintf("%s:%d", d.File, d.Line)
+		found := false
+		for _, w := range wants[key] {
+			if !w.matched && w.re.MatchString(d.Message) {
+				w.matched, found = true, true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("unexpected finding: %s", d)
+		}
+	}
+	for key, ws := range wants {
+		for _, w := range ws {
+			if !w.matched {
+				t.Errorf("%s: want %q not reported", key, w.re)
+			}
+		}
+	}
+}
+
+// TestFixtures runs each analyzer over its golden fixture tree, and the
+// escape-analysis reconciliation over the noalloc tree, matching findings
+// against the inline want comments.
 func TestFixtures(t *testing.T) {
 	for _, a := range Analyzers() {
-		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			pkgs := loadFixture(t, a.Name)
-			diags := Run(pkgs, []*Analyzer{a})
-			wants := collectWants(t, filepath.Join("testdata", "src", a.Name))
-			for _, d := range diags {
-				key := fmt.Sprintf("%s:%d", d.File, d.Line)
-				found := false
-				for _, w := range wants[key] {
-					if !w.matched && w.re.MatchString(d.Message) {
-						w.matched, found = true, true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("unexpected finding: %s", d)
-				}
-			}
-			for key, ws := range wants {
-				for _, w := range ws {
-					if !w.matched {
-						t.Errorf("%s: want %q not reported", key, w.re)
-					}
-				}
-			}
+			matchWants(t, Run(loadFixture(t, a.Name), []*Analyzer{a}), filepath.Join("testdata", "src", a.Name))
 		})
 	}
+	t.Run("noalloc", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("invokes the compiler")
+		}
+		// Loaded under the real module root, so the import paths match the
+		// package headers of go build's -m output.
+		root, module := moduleRoot(t)
+		dir, err := filepath.Abs(filepath.Join("testdata", "src", "noalloc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := Load(LoadConfig{Dir: root, ModulePath: module, Patterns: []string{dir + "/..."}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, err := escapeCheck(pkgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchWants(t, diags, dir)
+	})
 }
 
 // TestDirectiveDiagnostics checks that malformed //lint:allow directives
@@ -144,20 +169,5 @@ func TestSuppressionScope(t *testing.T) {
 		if strings.Contains(d.File, "a.go") && d.Line > 25 {
 			t.Errorf("suppressed finding leaked: %s", d)
 		}
-	}
-}
-
-// TestAnalyzersByName covers the -checks flag plumbing.
-func TestAnalyzersByName(t *testing.T) {
-	all, err := AnalyzersByName("")
-	if err != nil || len(all) != len(Analyzers()) {
-		t.Fatalf("empty selector: got %d analyzers, err=%v", len(all), err)
-	}
-	two, err := AnalyzersByName("floateq, ctxleak")
-	if err != nil || len(two) != 2 || two[0].Name != "floateq" || two[1].Name != "ctxleak" {
-		t.Fatalf("subset selector failed: %v %v", two, err)
-	}
-	if _, err := AnalyzersByName("nope"); err == nil {
-		t.Fatal("unknown check name should error")
 	}
 }

@@ -4,12 +4,12 @@
 // global-rand-free (nodeterminism), QoE/bitrate arithmetic never relies on
 // exact float equality (floateq), byte-identical report/export emitters
 // never iterate maps in hash order (maporder), the dependency policy stays
-// stdlib-only (stdlibonly), and orchestration goroutines keep a
-// cancellation path (ctxleak). The second-generation concurrency pass
-// adds: mutex critical sections never block or leak (lockscope),
-// //mpc:noalloc hot paths never allocate (noalloc), atomics are atomic
-// everywhere and never copied (atomicmix), and HTTP handlers honor the
-// service-layer response/context/metric-name contracts (httpcontract).
+// stdlib-only (stdlibonly), orchestration goroutines keep a cancellation
+// path (ctxleak), mutex critical sections never block or leak
+// (lockscope), and HTTP handlers honor the service-layer
+// response/context/metric-name contracts (httpcontract). Check adds the
+// compiler-side contract: //mpc:noalloc functions contain no site that
+// gc's escape analysis heap-allocates (alloccheck).
 //
 // Findings are suppressed with a directive comment carrying a reason:
 //
@@ -24,7 +24,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -71,34 +70,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NoDeterminism, FloatEq, MapOrder, StdlibOnly, CtxLeak, LockScope, NoAlloc, AtomicMix, HTTPContract}
+	return []*Analyzer{NoDeterminism, FloatEq, MapOrder, StdlibOnly, CtxLeak, LockScope, HTTPContract}
 }
 
-// AnalyzersByName resolves a comma-separated list of check names.
-func AnalyzersByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return Analyzers(), nil
+// Check is the default mpclint run: every analyzer over pkgs plus, when
+// they carry //mpc:noalloc annotations, the escape-analysis reconciliation
+// of the annotated packages (AllocCheck), as one position-sorted stream.
+func Check(pkgs []*Package) ([]Diagnostic, error) {
+	escapes, err := escapeCheck(pkgs)
+	if err != nil {
+		return nil, err
 	}
-	byName := map[string]*Analyzer{}
-	for _, a := range Analyzers() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown check %q", n)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no checks selected by %q", names)
-	}
-	return out, nil
+	diags := append(Run(pkgs, Analyzers()), escapes...)
+	sortDiagnostics(diags)
+	return diags, nil
 }
 
 func knownCheck(name string) bool {
@@ -119,13 +104,13 @@ type allowKey struct {
 
 const allowPrefix = "lint:allow"
 
-// collectAllows scans a package's comments for //lint:allow directives.
-// Malformed directives (missing reason, unknown check) are reported as
+// collectAllows scans a package's non-test files for //lint:allow
+// directives; test files are parsed imports-only and never linted beyond
+// stdlibonly, so directives there are not read. Malformed directives (missing reason, unknown check) are reported as
 // "lintdirective" findings so the suppression inventory stays honest.
 func collectAllows(pkg *Package, out *[]Diagnostic) map[allowKey]bool {
 	allows := map[allowKey]bool{}
-	files := append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...)
-	for _, f := range files {
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
@@ -177,6 +162,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			diags = append(diags, d)
 		}
 	}
+	sortDiagnostics(diags)
+	return diags
+}
+
+// sortDiagnostics orders findings by position, then check, for
+// deterministic output.
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
@@ -190,5 +182,4 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		return a.Check < b.Check
 	})
-	return diags
 }

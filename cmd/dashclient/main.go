@@ -15,17 +15,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"mpcdash/internal/abr"
-	"mpcdash/internal/core"
 	"mpcdash/internal/emu"
 	"mpcdash/internal/export"
-	"mpcdash/internal/fastmpc"
 	"mpcdash/internal/model"
 	"mpcdash/internal/obs"
-	"mpcdash/internal/predictor"
+	"mpcdash/internal/runner"
+	"mpcdash/internal/sim"
 )
 
 func main() {
@@ -43,7 +40,7 @@ func main() {
 	)
 	flag.Parse()
 
-	factory, pred, err := pick(*algName, *bmax, *horizon)
+	alg, err := runner.Lookup(runner.Catalog(model.Balanced, model.QIdentity, *bmax, *horizon), *algName)
 	if err != nil {
 		fatal(err)
 	}
@@ -78,16 +75,19 @@ func main() {
 
 	client := &emu.Client{
 		BaseURL:   *baseURL,
-		Predictor: pred,
-		BufferMax: *bmax,
-		Horizon:   *horizon,
+		Predictor: alg.Predictor(nil),
+		Config: sim.Config{
+			BufferMax: *bmax,
+			Horizon:   *horizon,
+			Startup:   alg.Startup,
+			Obs:       rec,
+		},
 		TimeScale: *scale,
 		Retries:   *retries,
-		Obs:       rec,
 	}
 	// The controller needs the manifest, which the client fetches; use the
 	// deferred-binding helper.
-	res, err := client.RunWithController(ctx, factory)
+	res, err := client.RunWithController(ctx, alg.Factory)
 	if err != nil {
 		fatal(err)
 	}
@@ -124,30 +124,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("per-chunk CSV written to %s\n", *csvOut)
-	}
-}
-
-// pick maps an algorithm name to its factory and predictor.
-func pick(name string, bmax float64, horizon int) (abr.Factory, predictor.Predictor, error) {
-	switch strings.ToLower(name) {
-	case "rb":
-		return abr.NewRB(1), predictor.NewHarmonicMean(5), nil
-	case "bb":
-		return abr.NewBB(5, 10), predictor.NewHarmonicMean(5), nil
-	case "festive":
-		return abr.NewFESTIVE(12, 1, 5), predictor.NewHarmonicMean(5), nil
-	case "dash.js", "dashjs":
-		return abr.NewDashJS(0, 0), &predictor.LastSample{}, nil
-	case "mpc":
-		return core.NewMPC(model.Balanced, model.QIdentity, bmax, horizon), predictor.NewHarmonicMean(5), nil
-	case "robustmpc":
-		return core.NewRobustMPC(model.Balanced, model.QIdentity, bmax, horizon),
-			predictor.NewErrorTracked(predictor.NewHarmonicMean(5), 5), nil
-	case "fastmpc":
-		return fastmpc.NewController(model.Balanced, model.QIdentity, bmax, horizon, nil, false, "FastMPC"),
-			predictor.NewHarmonicMean(5), nil
-	default:
-		return nil, nil, fmt.Errorf("unknown algorithm %q", name)
 	}
 }
 

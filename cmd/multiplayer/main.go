@@ -17,12 +17,9 @@ import (
 	"os"
 	"strings"
 
-	"mpcdash/internal/abr"
-	"mpcdash/internal/core"
-	"mpcdash/internal/fastmpc"
 	"mpcdash/internal/model"
 	"mpcdash/internal/multiplayer"
-	"mpcdash/internal/predictor"
+	"mpcdash/internal/runner"
 	"mpcdash/internal/trace"
 )
 
@@ -68,14 +65,18 @@ func main() {
 		bottleneck = trace.Dataset(kind, 1, float64(*players)*m.Duration()*3, *seed)[0]
 	}
 
-	mk, err := playerFactory(*algName, m)
+	alg, err := runner.Lookup(runner.Catalog(model.Balanced, model.QIdentity, 30, 5), *algName)
 	if err != nil {
 		fatal(err)
 	}
 	ps := make([]multiplayer.Player, *players)
 	for i := range ps {
-		ps[i] = mk(i)
-		ps[i].StartOffset = float64(i) * *stagger
+		ps[i] = multiplayer.Player{
+			Name:        fmt.Sprintf("p%d", i),
+			Controller:  alg.Factory(m),
+			Predictor:   alg.Predictor(bottleneck),
+			StartOffset: float64(i) * *stagger,
+		}
 	}
 
 	res, err := multiplayer.Run(m, bottleneck, ps, multiplayer.Config{BufferMax: 30, Horizon: 5})
@@ -93,40 +94,6 @@ func main() {
 		fmt.Printf("%-10s %10.0f %10d %12.2f %10.0f\n",
 			ps[i].Name, met.AvgBitrate, met.Switches, met.RebufferTime,
 			s.QoE(model.Balanced, model.QIdentity))
-	}
-}
-
-// playerFactory builds same-algorithm players with fresh state per slot.
-func playerFactory(name string, m *model.Manifest) (func(i int) multiplayer.Player, error) {
-	lower := strings.ToLower(name)
-	mk := func(factory abr.Factory, pred func() predictor.Predictor) func(int) multiplayer.Player {
-		return func(i int) multiplayer.Player {
-			return multiplayer.Player{
-				Name:       fmt.Sprintf("p%d", i),
-				Controller: factory(m),
-				Predictor:  pred(),
-			}
-		}
-	}
-	harmonic := func() predictor.Predictor { return predictor.NewHarmonicMean(5) }
-	switch lower {
-	case "rb":
-		return mk(abr.NewRB(1), harmonic), nil
-	case "bb":
-		return mk(abr.NewBB(5, 10), harmonic), nil
-	case "festive":
-		return mk(abr.NewFESTIVE(12, 1, 5), harmonic), nil
-	case "dash.js", "dashjs":
-		return mk(abr.NewDashJS(0, 0), func() predictor.Predictor { return &predictor.LastSample{} }), nil
-	case "mpc":
-		return mk(core.NewMPC(model.Balanced, model.QIdentity, 30, 5), harmonic), nil
-	case "robustmpc":
-		return mk(core.NewRobustMPC(model.Balanced, model.QIdentity, 30, 5),
-			func() predictor.Predictor { return predictor.NewErrorTracked(predictor.NewHarmonicMean(5), 5) }), nil
-	case "fastmpc":
-		return mk(fastmpc.NewController(model.Balanced, model.QIdentity, 30, 5, nil, false, "FastMPC"), harmonic), nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", name)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"mpcdash/internal/model"
 	"mpcdash/internal/obs"
 	"mpcdash/internal/predictor"
+	"mpcdash/internal/sim"
 	"mpcdash/internal/trace"
 )
 
@@ -48,10 +49,10 @@ func main() {
 		BaseURL:    base,
 		Controller: core.NewRobustMPC(model.Balanced, model.QIdentity, 30, 5)(manifest),
 		Predictor:  predictor.NewErrorTracked(predictor.NewHarmonicMean(5), 5),
-		BufferMax:  30,
-		Horizon:    5,
-		TimeScale:  timeScale,
-		Retries:    emu.RetriesDefault,
+		// RobustMPC chooses its own startup delay, as in the simulator.
+		Config:    sim.Config{BufferMax: 30, Horizon: 5, Startup: sim.StartupController},
+		TimeScale: timeScale,
+		Retries:   emu.RetriesDefault,
 	}
 	var traceFile *os.File
 	if *traceOut != "" {

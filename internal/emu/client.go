@@ -4,31 +4,34 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"time"
 
 	"mpcdash/internal/abr"
 	"mpcdash/internal/model"
 	"mpcdash/internal/mpd"
-	"mpcdash/internal/obs"
 	"mpcdash/internal/predictor"
+	"mpcdash/internal/sim"
 )
 
 // Client is the DASH player half of the emulation: it fetches the manifest,
-// then downloads chunks strictly sequentially, invoking the controller at
-// every chunk boundary — the modified dash.js behaviour of Sec 6. Buffer
-// accounting is in media seconds while downloads happen in (possibly
-// compressed) wall time; TimeScale is the media-seconds-per-wall-second
-// factor and must match the factor the link trace was scaled by.
+// then plays it through sim.Play over an HTTP link — the same sequential
+// chunk loop as the simulator, the modified dash.js behaviour of Sec 6.
+// Buffer accounting is in media seconds while downloads happen in
+// (possibly compressed) wall time; TimeScale is the
+// media-seconds-per-wall-second factor and must match the factor the link
+// trace was scaled by.
 type Client struct {
 	BaseURL    string
 	Controller abr.Controller
 	Predictor  predictor.Predictor
-	BufferMax  float64 // media seconds
-	Horizon    int
 	TimeScale  float64 // media s per wall s (1 = real time)
 	HTTP       *http.Client
+
+	// Config is the player configuration shared with the simulator:
+	// buffer cap, horizon, startup policy, watch length, abandonment and
+	// observability.
+	sim.Config
 
 	// Retries is the number of additional attempts per chunk after a
 	// failed or truncated download (dropped connection, 5xx, timeout).
@@ -55,10 +58,6 @@ type Client struct {
 	// Seed makes the backoff jitter deterministic; 0 selects a fixed
 	// default seed.
 	Seed int64
-
-	// Obs receives per-decision events and session metrics. Nil disables
-	// observability at the cost of one pointer test per chunk.
-	Obs *obs.Recorder
 }
 
 // newHTTPClient is the default transport when the caller supplies none: a
@@ -99,156 +98,77 @@ func (c *Client) run(ctx context.Context, bind abr.Factory) (*model.SessionResul
 	if c.TimeScale <= 0 {
 		c.TimeScale = 1
 	}
-	if c.Horizon <= 0 {
-		c.Horizon = 5
-	}
 	httpc := c.HTTP
 	if httpc == nil {
 		httpc = newHTTPClient()
 	}
-
 	man, err := c.fetchManifest(ctx, httpc)
 	if err != nil {
 		return nil, err
 	}
-	engine := c.newDownloader(httpc)
 	ctrl := bind(man)
-	res := &model.SessionResult{
-		Algorithm: ctrl.Name(),
-		Chunks:    make([]model.ChunkRecord, 0, man.ChunkCount),
+	link := &httpLink{ctx: ctx, engine: c.newDownloader(httpc), scale: c.TimeScale, start: time.Now()}
+	return sim.Play(man, link, ctrl, c.Predictor, c.Config)
+}
+
+// httpLink is the sim.Link of an emulated session: chunks are real HTTP
+// downloads through the fault-tolerant engine, the clock is wall time
+// scaled to media seconds, and buffer-full waits are real sleeps.
+type httpLink struct {
+	ctx    context.Context
+	engine *downloader
+	scale  float64   // media s per wall s
+	start  time.Time // session start on the wall clock
+	chunk  int       // last chunk fetched, for error context
+}
+
+func (l *httpLink) Now() float64 { return time.Since(l.start).Seconds() * l.scale }
+
+func (l *httpLink) Fetch(c *model.ChunkRecord) error {
+	l.chunk = c.Index
+	if err := l.ctx.Err(); err != nil {
+		return fmt.Errorf("emu: session cancelled at chunk %d: %w", c.Index, err)
 	}
-
-	var (
-		buffer float64 // media seconds
-		prev   = -1
-		start  = time.Now()
-	)
-	mediaNow := func() float64 { return time.Since(start).Seconds() * c.TimeScale }
-
-	for k := 0; k < man.ChunkCount; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("emu: session cancelled at chunk %d: %w", k, err)
-		}
-		t := mediaNow()
-		if ta, ok := c.Predictor.(predictor.TimeAware); ok {
-			ta.SetTime(t)
-		}
-		forecast := c.Predictor.Predict(c.Horizon)
-		var lower []float64
-		if lb, ok := c.Predictor.(predictor.LowerBounder); ok {
-			lower = lb.LowerBound(c.Horizon)
-		}
-		decStart := time.Now()
-		dec := ctrl.Decide(abr.State{
-			Chunk:    k,
-			Buffer:   buffer,
-			Prev:     prev,
-			Time:     t,
-			Forecast: forecast,
-			Lower:    lower,
-		})
-		solverWall := time.Since(decStart)
-		level := man.Ladder.Clamp(dec.Level)
-
-		wallStart := time.Now()
-		bytes, served, fetch, err := engine.FetchChunk(ctx, level, k+1)
-		if err != nil {
-			return nil, err
-		}
-		level = served // graceful degradation may have lowered the level
-		dlWall := time.Since(wallStart).Seconds()
-		if dlWall < minDownloadWall {
-			// An instantaneous loopback download would feed +Inf into the
-			// predictor and poison the harmonic mean; floor the duration.
-			dlWall = minDownloadWall
-		}
-		dl := dlWall * c.TimeScale // media-time download duration
-		sizeKbits := float64(bytes) * 8 / 1000
-		throughput := sizeKbits / dl // kbps in media time == trace units
-
-		if k == 0 {
-			// Play as soon as the first chunk arrives (StartupFirstChunk).
-			res.StartupDelay = dl
-			buffer = dl
-		}
-		rebuffer := math.Max(dl-buffer, 0)
-		afterDrain := math.Max(buffer-dl, 0) + man.ChunkDuration
-		wait := math.Max(afterDrain-c.BufferMax, 0)
-		next := afterDrain - wait
-
-		c.Predictor.Observe(throughput)
-		var predicted float64
-		if len(forecast) > 0 {
-			predicted = forecast[0]
-		}
-		// Per-attempt transport timing in media time, so the retry and
-		// backoff cost inside the chunk's download span stays visible.
-		attempts := make([]model.AttemptRecord, len(fetch.AttemptLog))
-		for i, a := range fetch.AttemptLog {
-			attempts[i] = model.AttemptRecord{
-				Start:    a.Start.Sub(start).Seconds() * c.TimeScale,
-				Duration: a.Duration.Seconds() * c.TimeScale,
-				Backoff:  a.Backoff.Seconds() * c.TimeScale,
-				Level:    a.Level,
-				Resumed:  a.Resumed,
-				Error:    a.Err,
-			}
-		}
-		res.Chunks = append(res.Chunks, model.ChunkRecord{
-			Index:        k,
-			Level:        level,
-			Bitrate:      man.Ladder[level],
-			SizeKbits:    sizeKbits,
-			StartTime:    t,
-			DownloadTime: dl,
-			Throughput:   throughput,
-			BufferBefore: buffer,
-			BufferAfter:  next,
-			Rebuffer:     rebuffer,
-			Wait:         wait,
-			Predicted:    predicted,
-			DecisionTime: solverWall.Seconds(),
-			Retries:      fetch.Retries,
-			Resumes:      fetch.Resumes,
-			Fallback:     fetch.Fallback,
-			Attempts:     attempts,
-		})
-		if c.Obs.Enabled() {
-			c.Obs.Decision(obs.DecisionEvent{
-				Algorithm:     res.Algorithm,
-				Chunk:         k,
-				Time:          t,
-				Buffer:        buffer,
-				Prev:          prev,
-				Predicted:     predicted,
-				Candidates:    man.Ladder,
-				Level:         level,
-				Bitrate:       man.Ladder[level],
-				SolverWall:    solverWall,
-				DownloadStart: t,
-				DownloadDur:   dl,
-				Actual:        throughput,
-				SizeKbits:     sizeKbits,
-				Rebuffer:      rebuffer,
-				Wait:          wait,
-				BufferAfter:   next,
-				Retries:       fetch.Retries,
-				Resumes:       fetch.Resumes,
-				Fallback:      fetch.Fallback,
-				Attempts:      attempts,
-			})
-		}
-		buffer = next
-		prev = level
-		if wait > 0 {
-			// Buffer full: hold off in wall time like a real player, but
-			// stay responsive to cancellation.
-			if err := sleepCtx(ctx, time.Duration(wait/c.TimeScale*float64(time.Second))); err != nil {
-				return nil, fmt.Errorf("emu: session cancelled waiting on a full buffer after chunk %d: %w", k, err)
-			}
+	wallStart := time.Now()
+	bytes, served, fetch, err := l.engine.FetchChunk(l.ctx, c.Level, c.Index+1)
+	if err != nil {
+		return err
+	}
+	// An instantaneous loopback download would feed +Inf into the
+	// predictor and poison the harmonic mean; floor the duration.
+	dlWall := max(time.Since(wallStart).Seconds(), minDownloadWall)
+	c.Level = served // graceful degradation may have lowered the level
+	c.SizeKbits = float64(bytes) * 8 / 1000
+	c.DownloadTime = dlWall * l.scale // media-time, so kbits/s match trace units
+	c.Retries = fetch.Retries
+	c.Resumes = fetch.Resumes
+	c.Fallback = fetch.Fallback
+	// Per-attempt transport timing in media time, so the retry and
+	// backoff cost inside the chunk's download span stays visible.
+	c.Attempts = make([]model.AttemptRecord, len(fetch.AttemptLog))
+	for i, a := range fetch.AttemptLog {
+		c.Attempts[i] = model.AttemptRecord{
+			Start:    a.Start.Sub(l.start).Seconds() * l.scale,
+			Duration: a.Duration.Seconds() * l.scale,
+			Backoff:  a.Backoff.Seconds() * l.scale,
+			Level:    a.Level,
+			Resumed:  a.Resumed,
+			Error:    a.Err,
 		}
 	}
-	return res, nil
+	return nil
+}
+
+// Wait holds off in wall time like a real player while the buffer is
+// full, but stays responsive to cancellation.
+func (l *httpLink) Wait(sec float64) error {
+	if sec <= 0 {
+		return nil
+	}
+	if err := sleepCtx(l.ctx, time.Duration(sec/l.scale*float64(time.Second))); err != nil {
+		return fmt.Errorf("emu: session cancelled waiting on a full buffer after chunk %d: %w", l.chunk, err)
+	}
+	return nil
 }
 
 // minDownloadWall floors the measured wall-clock download time so that an

@@ -16,6 +16,7 @@ import (
 	"mpcdash/internal/model"
 	"mpcdash/internal/mpd"
 	"mpcdash/internal/predictor"
+	"mpcdash/internal/sim"
 	"mpcdash/internal/trace"
 )
 
@@ -45,8 +46,7 @@ func session(t *testing.T, m *model.Manifest, tr *trace.Trace, scale float64, fa
 		BaseURL:    base,
 		Controller: factory(m),
 		Predictor:  pred,
-		BufferMax:  30,
-		Horizon:    5,
+		Config:     sim.Config{BufferMax: 30, Horizon: 5},
 		TimeScale:  scale,
 		HTTP:       &http.Client{Timeout: 50 * time.Second},
 		Retries:    RetriesDefault,
@@ -214,7 +214,7 @@ func TestRunWithController(t *testing.T) {
 	client := &Client{
 		BaseURL:   base,
 		Predictor: predictor.NewHarmonicMean(5),
-		BufferMax: 30,
+		Config:    sim.Config{BufferMax: 30},
 		TimeScale: 10,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -247,7 +247,7 @@ func TestClientCancellation(t *testing.T) {
 		BaseURL:    base,
 		Controller: abr.NewRB(1)(m),
 		Predictor:  predictor.NewHarmonicMean(5),
-		BufferMax:  30,
+		Config:     sim.Config{BufferMax: 30},
 		TimeScale:  1,
 	}
 	if _, err := client.Run(ctx); err == nil {
@@ -279,7 +279,7 @@ func TestFaultInjectionRetries(t *testing.T) {
 		BaseURL:    "http://" + ln.Addr().String(),
 		Controller: abr.NewBB(5, 10)(m),
 		Predictor:  predictor.NewHarmonicMean(5),
-		BufferMax:  30,
+		Config:     sim.Config{BufferMax: 30},
 		TimeScale:  10,
 		Retries:    20,
 	}
@@ -315,7 +315,7 @@ func TestFaultLatency(t *testing.T) {
 			BaseURL:    "http://" + ln.Addr().String(),
 			Controller: abr.NewFixed(0)(m),
 			Predictor:  predictor.NewHarmonicMean(5),
-			BufferMax:  30,
+			Config:     sim.Config{BufferMax: 30},
 			TimeScale:  1,
 		}
 		res, err := client.Run(ctx)
@@ -368,7 +368,7 @@ func faultySession(t *testing.T, m *model.Manifest, tr *trace.Trace, scale float
 		BaseURL:    "http://" + ln.Addr().String(),
 		Controller: abr.NewFixed(2)(m),
 		Predictor:  predictor.NewHarmonicMean(5),
-		BufferMax:  30,
+		Config:     sim.Config{BufferMax: 30},
 		TimeScale:  scale,
 		Retries:    RetriesDefault,
 	}
@@ -600,7 +600,7 @@ func TestBufferFullWaitCancellable(t *testing.T) {
 		BaseURL:    base,
 		Controller: abr.NewFixed(0)(m),
 		Predictor:  predictor.NewHarmonicMean(5),
-		BufferMax:  5,
+		Config:     sim.Config{BufferMax: 5},
 		TimeScale:  1,
 	}
 	start := time.Now()

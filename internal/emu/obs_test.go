@@ -10,6 +10,7 @@ import (
 	"mpcdash/internal/abr"
 	"mpcdash/internal/obs"
 	"mpcdash/internal/predictor"
+	"mpcdash/internal/sim"
 	"mpcdash/internal/trace"
 )
 
@@ -154,7 +155,7 @@ func TestServerInstrumented(t *testing.T) {
 		BaseURL:    base,
 		Controller: abr.NewFixed(1)(m),
 		Predictor:  predictor.NewHarmonicMean(5),
-		BufferMax:  30,
+		Config:     sim.Config{BufferMax: 30},
 		TimeScale:  10,
 		Retries:    RetriesDefault,
 	}

@@ -257,31 +257,17 @@ func (sc *Scenario) horizon() int {
 	return 5
 }
 
-// algorithms resolves every population's algorithm name against the
-// canonical Sec 7.1.2 set (plus exact MPC), shared across populations so
-// expensive per-algorithm setup (the FastMPC table) happens once.
+// algorithms resolves every population's algorithm name against
+// runner.Catalog, shared across populations so expensive per-algorithm
+// setup (the FastMPC table) happens once.
 func (sc *Scenario) algorithms() (map[string]runner.Algorithm, error) {
-	w, q := sc.weights(), model.QIdentity
-	bufMax, horizon := sc.bufferMax(), sc.horizon()
-	byName := make(map[string]runner.Algorithm)
-	for _, alg := range runner.StandardSet(w, q, bufMax, horizon) {
-		byName[strings.ToLower(alg.Name)] = alg
-	}
-	mpc := runner.MPCAlgorithm(w, q, bufMax, horizon)
-	byName[strings.ToLower(mpc.Name)] = mpc
-
+	catalog := runner.Catalog(sc.weights(), model.QIdentity, sc.bufferMax(), sc.horizon())
 	out := make(map[string]runner.Algorithm, len(sc.Populations))
 	for i := range sc.Populations {
 		p := &sc.Populations[i]
-		alg, ok := byName[strings.ToLower(p.Algorithm)]
-		if !ok {
-			names := make([]string, 0, len(byName))
-			for n := range byName {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			return nil, fmt.Errorf("fleet: population %q: unknown algorithm %q (have %s)",
-				p.Name, p.Algorithm, strings.Join(names, ", "))
+		alg, err := runner.Lookup(catalog, p.Algorithm)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: population %q: %w", p.Name, err)
 		}
 		out[p.Name] = alg
 	}

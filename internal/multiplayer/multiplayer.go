@@ -16,6 +16,7 @@ import (
 	"mpcdash/internal/abr"
 	"mpcdash/internal/model"
 	"mpcdash/internal/predictor"
+	"mpcdash/internal/sim"
 	"mpcdash/internal/trace"
 )
 
@@ -197,34 +198,22 @@ func Run(m *model.Manifest, link *trace.Trace, players []Player, cfg Config) (*R
 	return res, nil
 }
 
-// beginChunk asks the controller for the next level and starts the
-// transfer.
+// beginChunk asks the controller for the next level, through the same
+// decision step as the single-player loop, and starts the transfer.
 func beginChunk(m *model.Manifest, s *state, now float64, horizon int) {
-	if ta, ok := s.player.Predictor.(predictor.TimeAware); ok {
-		ta.SetTime(now)
-	}
-	forecast := s.player.Predictor.Predict(horizon)
-	var lower []float64
-	if lb, ok := s.player.Predictor.(predictor.LowerBounder); ok {
-		lower = lb.LowerBound(horizon)
-	}
-	dec := s.player.Controller.Decide(abr.State{
-		Chunk:    s.chunk,
-		Buffer:   s.buffer,
-		Prev:     s.prev,
-		Time:     now,
-		Forecast: forecast,
-		Lower:    lower,
+	dec, predicted, _ := sim.Decide(m.Ladder, s.player.Controller, s.player.Predictor, horizon, abr.State{
+		Chunk:  s.chunk,
+		Buffer: s.buffer,
+		Prev:   s.prev,
+		Time:   now,
 	})
-	s.level = m.Ladder.Clamp(dec.Level)
+	s.level = dec.Level
 	s.size = m.ChunkSize(s.chunk, s.level)
 	s.remaining = s.size
 	s.dlStart = now
 	s.dlStall = 0
 	s.bufAtStart = s.buffer
-	if len(forecast) > 0 {
-		s.predicted = forecast[0]
-	}
+	s.predicted = predicted
 	s.phase = phaseDownload
 }
 

@@ -191,6 +191,37 @@ func (r *Recorder) Close() error {
 	return r.sink.Close()
 }
 
+// ChunkEvent derives the decision event of one finished chunk from its
+// record: the controller saw prev as the previous level and chose among
+// candidates (nil when they were not recorded). It is the one mapping from
+// the session log to events, used live by the player loop and offline by
+// EventsFromSession.
+func ChunkEvent(algorithm string, prev int, c *model.ChunkRecord, candidates []float64) DecisionEvent {
+	return DecisionEvent{
+		Algorithm:     algorithm,
+		Chunk:         c.Index,
+		Time:          c.StartTime,
+		Buffer:        c.BufferBefore,
+		Prev:          prev,
+		Predicted:     c.Predicted,
+		Candidates:    candidates,
+		Level:         c.Level,
+		Bitrate:       c.Bitrate,
+		SolverWall:    time.Duration(c.DecisionTime * float64(time.Second)),
+		DownloadStart: c.StartTime,
+		DownloadDur:   c.DownloadTime,
+		Actual:        c.Throughput,
+		SizeKbits:     c.SizeKbits,
+		Rebuffer:      c.Rebuffer,
+		Wait:          c.Wait,
+		BufferAfter:   c.BufferAfter,
+		Retries:       c.Retries,
+		Resumes:       c.Resumes,
+		Fallback:      c.Fallback,
+		Attempts:      c.Attempts,
+	}
+}
+
 // EventsFromSession reconstructs the decision-event stream of a finished
 // session from its per-chunk log — the offline path to a trace when no
 // live sink was attached (e.g. `mpcdash -trace-out` after a simulator
@@ -198,30 +229,9 @@ func (r *Recorder) Close() error {
 func EventsFromSession(res *model.SessionResult) []DecisionEvent {
 	evs := make([]DecisionEvent, len(res.Chunks))
 	prev := -1
-	for i, c := range res.Chunks {
-		evs[i] = DecisionEvent{
-			Algorithm:     res.Algorithm,
-			Chunk:         c.Index,
-			Time:          c.StartTime,
-			Buffer:        c.BufferBefore,
-			Prev:          prev,
-			Predicted:     c.Predicted,
-			Level:         c.Level,
-			Bitrate:       c.Bitrate,
-			SolverWall:    time.Duration(c.DecisionTime * float64(time.Second)),
-			DownloadStart: c.StartTime,
-			DownloadDur:   c.DownloadTime,
-			Actual:        c.Throughput,
-			SizeKbits:     c.SizeKbits,
-			Rebuffer:      c.Rebuffer,
-			Wait:          c.Wait,
-			BufferAfter:   c.BufferAfter,
-			Retries:       c.Retries,
-			Resumes:       c.Resumes,
-			Fallback:      c.Fallback,
-			Attempts:      c.Attempts,
-		}
-		prev = c.Level
+	for i := range res.Chunks {
+		evs[i] = ChunkEvent(res.Algorithm, prev, &res.Chunks[i], nil)
+		prev = res.Chunks[i].Level
 	}
 	return evs
 }

@@ -1,6 +1,9 @@
 package runner
 
 import (
+	"fmt"
+	"strings"
+
 	"mpcdash/internal/abr"
 	"mpcdash/internal/core"
 	"mpcdash/internal/fastmpc"
@@ -118,4 +121,29 @@ func MPCOptAlgorithm(w model.Weights, q model.QualityFunc, bufferMax float64, ho
 		Predictor: OraclePred(chunkDur),
 		Startup:   sim.StartupController,
 	}
+}
+
+// Catalog is every algorithm a player can be configured with by name: the
+// StandardSet plus exact MPC. MPC-OPT is not in it, as its oracle needs the
+// trace ahead of time.
+func Catalog(w model.Weights, q model.QualityFunc, bufferMax float64, horizon int) []Algorithm {
+	return append(StandardSet(w, q, bufferMax, horizon), MPCAlgorithm(w, q, bufferMax, horizon))
+}
+
+// Lookup finds name among algs, ignoring case; "dashjs" is accepted for
+// dash.js. The error for an unknown name lists the names algs offers.
+func Lookup(algs []Algorithm, name string) (Algorithm, error) {
+	if strings.EqualFold(name, "dashjs") {
+		name = "dash.js"
+	}
+	for _, alg := range algs {
+		if strings.EqualFold(alg.Name, name) {
+			return alg, nil
+		}
+	}
+	names := make([]string, len(algs))
+	for i, alg := range algs {
+		names[i] = alg.Name
+	}
+	return Algorithm{}, fmt.Errorf("unknown algorithm %q (have %s)", name, strings.Join(names, ", "))
 }

@@ -1,10 +1,12 @@
-// Package sim is the trace-driven playback simulator: it executes the chunk
-// download process of Sec 3.1 — Eq. (1) timing, Eq. (2) average download
-// throughput, Eq. (3) buffer evolution and Eq. (4) buffer-full waiting —
-// against a throughput trace, invoking a Controller at every chunk boundary
-// exactly as the modified dash.js player does (Sec 6: sequential downloads,
-// decisions at chunk starts). It produces the per-chunk session log that the
-// QoE metric and all evaluation figures are computed from.
+// Package sim holds the chunk download process of Sec 3.1 — Eq. (1)
+// timing, Eq. (2) average download throughput, Eq. (3) buffer evolution and
+// Eq. (4) buffer-full waiting — invoking a Controller at every chunk
+// boundary exactly as the modified dash.js player does (Sec 6: sequential
+// downloads, decisions at chunk starts). Play runs that process over any
+// Link; Run is the trace-driven simulator, Play over a throughput trace.
+// The emulator plays the same loop over real HTTP. Both produce the
+// per-chunk session log that the QoE metric and all evaluation figures are
+// computed from.
 package sim
 
 import (
@@ -65,9 +67,61 @@ func DefaultConfig() Config {
 	return Config{BufferMax: 30, Horizon: 5, Startup: StartupFirstChunk}
 }
 
+// Link is the transport one session's chunks travel over. Play owns the
+// buffer arithmetic and the decisions; a Link owns time and bytes.
+type Link interface {
+	// Now reads the session clock in media seconds since the session began.
+	Now() float64
+	// Fetch downloads chunk c.Index at level c.Level and fills in the
+	// Level actually served (a link may degrade it), SizeKbits,
+	// DownloadTime in media seconds and any transport fields; Play fills
+	// in everything else.
+	Fetch(c *model.ChunkRecord) error
+	// Wait idles through the buffer-full wait Δt_k of Eq. (4) that follows
+	// the last fetched chunk; sec may be zero.
+	Wait(sec float64) error
+}
+
 // Run plays the whole video over tr, asking ctrl for every chunk's level and
 // pred for throughput forecasts. It returns the complete session log.
 func Run(m *model.Manifest, tr *trace.Trace, ctrl abr.Controller, pred predictor.Predictor, cfg Config) (*model.SessionResult, error) {
+	return Play(m, &traceLink{m: m, tr: tr}, ctrl, pred, cfg)
+}
+
+// traceLink is the simulator's Link: a download takes the time the trace
+// gives it (Eq. 1–2) and the clock is pure arithmetic.
+type traceLink struct {
+	m  *model.Manifest
+	tr *trace.Trace
+	t  float64 // session clock, seconds
+	dl float64 // last download's duration, folded into t by Wait
+}
+
+func (l *traceLink) Now() float64 { return l.t }
+
+func (l *traceLink) Fetch(c *model.ChunkRecord) error {
+	size := l.m.ChunkSize(c.Index, c.Level)
+	dl := l.tr.DownloadTime(l.t, size)
+	if math.IsInf(dl, 1) {
+		return fmt.Errorf("sim: trace %q has zero throughput forever at t=%.1fs", l.tr.Name, l.t)
+	}
+	l.dl = dl
+	c.SizeKbits = size
+	c.DownloadTime = dl
+	return nil
+}
+
+// Wait advances the clock past the download and the wait together:
+// t_{k+1} = t_k + d_k/C_k + Δt_k.
+func (l *traceLink) Wait(sec float64) error {
+	l.t += l.dl + sec
+	return nil
+}
+
+// Play runs the sequential chunk loop over link: decide, fetch, apply
+// Eq. (3)/(4), wait. It returns the session log, or the first error the
+// link reports.
+func Play(m *model.Manifest, link Link, ctrl abr.Controller, pred predictor.Predictor, cfg Config) (*model.SessionResult, error) {
 	if cfg.BufferMax <= 0 {
 		return nil, fmt.Errorf("sim: BufferMax must be positive, got %v", cfg.BufferMax)
 	}
@@ -83,40 +137,25 @@ func Run(m *model.Manifest, tr *trace.Trace, ctrl abr.Controller, pred predictor
 		chunks = cfg.MaxChunks
 	}
 	var (
-		t        float64 // session clock, seconds
 		buffer   float64 // B_k
 		prev     = -1
 		rebufTot float64 // cumulative stall, drives AbandonRebuffer
 	)
 	for k := 0; k < chunks; k++ {
-		if ta, ok := pred.(predictor.TimeAware); ok {
-			ta.SetTime(t)
+		t := link.Now()
+		dec, predicted, solverWall := Decide(m.Ladder, ctrl, pred, cfg.Horizon, abr.State{
+			Chunk:   k,
+			Buffer:  buffer,
+			Prev:    prev,
+			Time:    t,
+			Startup: k == 0 && cfg.Startup == StartupController,
+		})
+		res.Chunks = append(res.Chunks, model.ChunkRecord{Index: k, Level: dec.Level})
+		c := &res.Chunks[k]
+		if err := link.Fetch(c); err != nil {
+			return nil, err
 		}
-		forecast := pred.Predict(cfg.Horizon)
-		var lower []float64
-		if lb, ok := pred.(predictor.LowerBounder); ok {
-			lower = lb.LowerBound(cfg.Horizon)
-		}
-		st := abr.State{
-			Chunk:    k,
-			Buffer:   buffer,
-			Prev:     prev,
-			Time:     t,
-			Forecast: forecast,
-			Lower:    lower,
-			Startup:  k == 0 && cfg.Startup == StartupController,
-		}
-		decStart := time.Now() //lint:allow nodeterminism solver wall-time measurement for obs only; never feeds the decision
-		dec := ctrl.Decide(st)
-		solverWall := time.Since(decStart) //lint:allow nodeterminism solver wall-time measurement for obs only; never feeds the decision
-		level := m.Ladder.Clamp(dec.Level)
-
-		size := m.ChunkSize(k, level)
-		dl := tr.DownloadTime(t, size)
-		if math.IsInf(dl, 1) {
-			return nil, fmt.Errorf("sim: trace %q has zero throughput forever at t=%.1fs", tr.Name, t)
-		}
-		throughput := size / dl
+		dl := c.DownloadTime
 
 		if k == 0 {
 			// Establish B1 = Ts per the chosen policy.
@@ -139,51 +178,25 @@ func Run(m *model.Manifest, tr *trace.Trace, ctrl abr.Controller, pred predictor
 		wait := max(afterDrain-cfg.BufferMax, 0)          // Δt_k, Eq. (4)
 		next := afterDrain - wait                         // B_{k+1}, Eq. (3)
 
-		pred.Observe(throughput)
-		var predicted float64
-		if len(forecast) > 0 {
-			predicted = forecast[0]
-		}
-		res.Chunks = append(res.Chunks, model.ChunkRecord{
-			Index:        k,
-			Level:        level,
-			Bitrate:      m.Ladder[level],
-			SizeKbits:    size,
-			StartTime:    t,
-			DownloadTime: dl,
-			Throughput:   throughput,
-			BufferBefore: buffer,
-			BufferAfter:  next,
-			Rebuffer:     rebuffer,
-			Wait:         wait,
-			Predicted:    predicted,
-			DecisionTime: solverWall.Seconds(),
-		})
+		c.Bitrate = m.Ladder[c.Level]
+		c.StartTime = t
+		c.Throughput = c.SizeKbits / dl
+		c.BufferBefore = buffer
+		c.BufferAfter = next
+		c.Rebuffer = rebuffer
+		c.Wait = wait
+		c.Predicted = predicted
+		c.DecisionTime = solverWall.Seconds()
+		pred.Observe(c.Throughput)
 		if cfg.Obs.Enabled() {
-			cfg.Obs.Decision(obs.DecisionEvent{
-				Algorithm:     res.Algorithm,
-				Chunk:         k,
-				Time:          t,
-				Buffer:        buffer,
-				Prev:          prev,
-				Predicted:     predicted,
-				Candidates:    m.Ladder,
-				Level:         level,
-				Bitrate:       m.Ladder[level],
-				SolverWall:    solverWall,
-				DownloadStart: t,
-				DownloadDur:   dl,
-				Actual:        throughput,
-				SizeKbits:     size,
-				Rebuffer:      rebuffer,
-				Wait:          wait,
-				BufferAfter:   next,
-			})
+			cfg.Obs.Decision(obs.ChunkEvent(res.Algorithm, prev, c, m.Ladder))
 		}
 
-		t += dl + wait
+		if err := link.Wait(wait); err != nil {
+			return nil, err
+		}
 		buffer = next
-		prev = level
+		prev = c.Level
 
 		rebufTot += rebuffer
 		if cfg.AbandonRebuffer > 0 && rebufTot >= cfg.AbandonRebuffer {
@@ -191,4 +204,29 @@ func Run(m *model.Manifest, tr *trace.Trace, ctrl abr.Controller, pred predictor
 		}
 	}
 	return res, nil
+}
+
+// Decide is the decision step at a chunk start, shared by every player
+// loop: it brings a time-aware predictor to st.Time, fills st's forecast
+// and, for predictors that track their error, its lower bound, asks ctrl,
+// and clamps the chosen level to the ladder. It returns the decision, the
+// first-step forecast (0 when there is none) and the wall-clock time ctrl
+// took to decide.
+func Decide(ladder model.Ladder, ctrl abr.Controller, pred predictor.Predictor, horizon int, st abr.State) (abr.Decision, float64, time.Duration) {
+	if ta, ok := pred.(predictor.TimeAware); ok {
+		ta.SetTime(st.Time)
+	}
+	st.Forecast = pred.Predict(horizon)
+	if lb, ok := pred.(predictor.LowerBounder); ok {
+		st.Lower = lb.LowerBound(horizon)
+	}
+	decStart := time.Now() //lint:allow nodeterminism solver wall-time measurement for obs only; never feeds the decision
+	dec := ctrl.Decide(st)
+	solverWall := time.Since(decStart) //lint:allow nodeterminism solver wall-time measurement for obs only; never feeds the decision
+	dec.Level = ladder.Clamp(dec.Level)
+	var predicted float64
+	if len(st.Forecast) > 0 {
+		predicted = st.Forecast[0]
+	}
+	return dec, predicted, solverWall
 }

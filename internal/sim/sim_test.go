@@ -2,11 +2,14 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"mpcdash/internal/abr"
+	"mpcdash/internal/core"
 	"mpcdash/internal/model"
+	"mpcdash/internal/obs"
 	"mpcdash/internal/predictor"
 	"mpcdash/internal/trace"
 )
@@ -333,5 +336,42 @@ func TestRunAbandonOnRebuffer(t *testing.T) {
 	}
 	if cum < cfg.AbandonRebuffer {
 		t.Fatalf("session ended with %v s of stalls, below the %v s threshold", cum, cfg.AbandonRebuffer)
+	}
+}
+
+// eventSink captures live decision events.
+type eventSink struct{ events []obs.DecisionEvent }
+
+func (s *eventSink) Decision(ev obs.DecisionEvent) { s.events = append(s.events, ev) }
+func (s *eventSink) Close() error                  { return nil }
+
+// TestLiveEventsMatchOffline is the live-vs-offline oracle: the events a
+// RobustMPC session emits while it runs equal, field for field, the ones
+// obs.EventsFromSession rebuilds from its log. Only Candidates differ,
+// as the log does not record them.
+func TestLiveEventsMatchOffline(t *testing.T) {
+	m := model.EnvivioManifest()
+	tr := trace.GenHSDPA(11, m.Duration()+120)
+	sink := &eventSink{}
+	cfg := DefaultConfig()
+	cfg.Startup = StartupController
+	cfg.Obs = obs.NewRecorder(nil, sink)
+	pred := predictor.NewErrorTracked(predictor.NewHarmonicMean(5), 5)
+	res, err := Run(m, tr, core.NewRobustMPC(model.Balanced, model.QIdentity, 30, 5)(m), pred, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline := obs.EventsFromSession(res)
+	if len(sink.events) != len(offline) || len(offline) != m.ChunkCount {
+		t.Fatalf("live %d events, offline %d, chunks %d", len(sink.events), len(offline), m.ChunkCount)
+	}
+	for i, live := range sink.events {
+		if !reflect.DeepEqual(live.Candidates, []float64(m.Ladder)) {
+			t.Errorf("event %d candidates = %v, want the ladder", i, live.Candidates)
+		}
+		live.Candidates = nil
+		if !reflect.DeepEqual(live, offline[i]) {
+			t.Errorf("event %d:\nlive    %+v\noffline %+v", i, live, offline[i])
+		}
 	}
 }

@@ -229,27 +229,14 @@ func Algorithms() []Algorithm {
 // startup policy.
 func runnerAlgorithm(a Algorithm, cfg Config, chunkDur float64) (runner.Algorithm, error) {
 	w := cfg.Weights.internal()
-	set := runner.StandardSet(w, model.QIdentity, cfg.BufferMax, cfg.Horizon)
-	switch a {
-	case RB:
-		return set[0], nil
-	case BB:
-		return set[1], nil
-	case FastMPC:
-		return set[2], nil
-	case RobustMPC:
-		return set[3], nil
-	case DashJS:
-		return set[4], nil
-	case FESTIVE:
-		return set[5], nil
-	case MPC:
-		return runner.MPCAlgorithm(w, model.QIdentity, cfg.BufferMax, cfg.Horizon), nil
-	case MPCOpt:
+	if a == MPCOpt {
 		return runner.MPCOptAlgorithm(w, model.QIdentity, cfg.BufferMax, cfg.Horizon, chunkDur), nil
-	default:
-		return runner.Algorithm{}, fmt.Errorf("mpcdash: unknown algorithm %d", int(a))
 	}
+	alg, err := runner.Lookup(runner.Catalog(w, model.QIdentity, cfg.BufferMax, cfg.Horizon), a.String())
+	if err != nil {
+		return runner.Algorithm{}, fmt.Errorf("mpcdash: %w", err)
+	}
+	return alg, nil
 }
 
 // ChunkStat is the per-chunk outcome of a session.

@@ -272,37 +272,39 @@ func (t *Tally) Clone() *Tally {
 // bit-identical on every run of the same scenario. Out-of-order arrivals
 // wait in a pending map whose size is bounded by the scheduler's
 // in-flight cap (a worker can only run ahead of the oldest unfinished
-// session by the admission window).
+// session by the admission window). A session that fails still takes its
+// turn, as a nil entry, so it never holds back the sessions after it.
 type orderedTally struct {
 	mu      sync.Mutex
 	next    int
-	pending map[int]sessionStats
+	pending map[int]*sessionStats
 	tally   *Tally
 }
 
 func newOrderedTally() *orderedTally {
-	return &orderedTally{pending: make(map[int]sessionStats), tally: NewTally()}
+	return &orderedTally{pending: make(map[int]*sessionStats), tally: NewTally()}
 }
 
-// add submits session i's stats; contiguous prefixes are folded in
-// immediately, everything else parks until its predecessors arrive.
-func (o *orderedTally) add(i int, s sessionStats) {
+// add submits session i's stats, or nil when session i failed;
+// contiguous prefixes are folded in immediately (failed sessions are
+// skipped), everything else parks until its predecessors arrive.
+func (o *orderedTally) add(i int, s *sessionStats) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if i != o.next {
 		o.pending[i] = s
 		return
 	}
-	o.tally.observe(s)
-	o.next++
 	for {
-		s, ok := o.pending[o.next]
-		if !ok {
+		if s != nil {
+			o.tally.observe(*s)
+		}
+		o.next++
+		var ok bool
+		if s, ok = o.pending[o.next]; !ok {
 			return
 		}
 		delete(o.pending, o.next)
-		o.tally.observe(s)
-		o.next++
 	}
 }
 

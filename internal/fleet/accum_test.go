@@ -204,7 +204,7 @@ func TestOrderedTallyDeterministic(t *testing.T) {
 	}
 	ot := newOrderedTally()
 	for _, i := range rng.Perm(n) {
-		ot.add(i, sessions[i])
+		ot.add(i, &sessions[i])
 	}
 	got := ot.snapshot()
 	if got.QoE.Mean != serial.QoE.Mean || got.QoE.M2 != serial.QoE.M2 {

@@ -5,8 +5,8 @@ import (
 
 	"mpcdash/internal/emu"
 	"mpcdash/internal/model"
-	"mpcdash/internal/obs"
 	"mpcdash/internal/sim"
+	"mpcdash/internal/trace"
 )
 
 // The emulated backend plays each session over a real loopback HTTP
@@ -22,16 +22,14 @@ import (
 
 // playEmuSession runs one session end to end: a loopback server shaped to
 // the session trace, and the emu client driving the population's
-// controller for the viewer's watch duration.
-func (f *Fleet) playEmuSession(ctx context.Context, ps *popState, session int) (sessionStats, error) {
-	tr := ps.traceFor(session, f.pool)
+// controller with the session's config.
+func (f *Fleet) playEmuSession(ctx context.Context, ps *popState, session int, tr *trace.Trace, cfg sim.Config) (*model.SessionResult, error) {
 	ts := f.opt.EmuTimeScale
-
 	srv := emu.NewServer(f.manifest)
 	srv.Instrument(f.opt.Registry)
 	base, err := srv.Start(emu.NewShaper(tr.Scale(ts, ts)))
 	if err != nil {
-		return sessionStats{}, err
+		return nil, err
 	}
 	defer srv.Close()
 
@@ -39,23 +37,10 @@ func (f *Fleet) playEmuSession(ctx context.Context, ps *popState, session int) (
 		BaseURL:    base,
 		Controller: ps.alg.Factory(f.manifest),
 		Predictor:  ps.alg.Predictor(tr),
-		Config: sim.Config{
-			BufferMax:       f.sc.bufferMax(),
-			Horizon:         f.sc.horizon(),
-			Startup:         ps.alg.Startup,
-			MaxChunks:       ps.watchFor(session, f.manifest.ChunkCount),
-			AbandonRebuffer: ps.pop.AbandonRebufferSec,
-		},
-		TimeScale: ts,
-		Retries:   emu.RetriesDefault,
-		Seed:      int64(splitmix64(ps.seed^uint64(session)) >> 1),
+		Config:     cfg,
+		TimeScale:  ts,
+		Retries:    emu.RetriesDefault,
+		Seed:       int64(splitmix64(ps.seed^uint64(session)) >> 1),
 	}
-	if f.opt.Registry != nil {
-		client.Obs = obs.NewRecorder(f.opt.Registry, nil).WithSession(session)
-	}
-	res, err := client.Run(ctx)
-	if err != nil {
-		return sessionStats{}, err
-	}
-	return ps.stats(res, res.QoE(f.weights, model.QIdentity), res.ComputeMetrics(model.QIdentity), client.MaxChunks), nil
+	return client.Run(ctx)
 }

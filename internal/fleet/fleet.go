@@ -83,7 +83,8 @@ type Fleet struct {
 	bucket   *tokenBucket  // admission: launch-rate cap
 	inflight *obs.Gauge
 
-	svc *svcEnv // decision-service wiring, svc backend only
+	svc *svcEnv       // decision-service wiring, svc backend only
+	rec *obs.Recorder // client-side decision recorder; nil without a registry and on svc
 
 	pops []*popState
 }
@@ -160,6 +161,9 @@ func New(sc *Scenario, opt Options) (*Fleet, error) {
 	}
 	f.sem = make(chan struct{}, maxInFlight)
 	f.inflight = opt.Registry.Gauge(MetricInflight, "Sessions currently playing.")
+	if opt.Registry != nil && opt.Backend != BackendSvc {
+		f.rec = obs.NewRecorder(opt.Registry, nil)
+	}
 
 	for i := range sc.Populations {
 		p := &sc.Populations[i]
@@ -236,20 +240,20 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 			_ = env.close(dctx)
 		}()
 	}
+	play := f.playSimSession
+	switch f.opt.Backend {
+	case BackendEmu:
+		play = f.playEmuSession
+	case BackendSvc:
+		play = f.playSvcSession
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(f.pops))
 	for i, ps := range f.pops {
 		wg.Add(1)
 		go func(i int, ps *popState) {
 			defer wg.Done()
-			switch f.opt.Backend {
-			case BackendEmu:
-				errs[i] = f.runPop(ctx, ps, f.playEmuSession)
-			case BackendSvc:
-				errs[i] = f.runPop(ctx, ps, f.playSvcSession)
-			default:
-				errs[i] = f.runPopSim(ctx, ps)
-			}
+			errs[i] = f.runPop(ctx, ps, play)
 		}(i, ps)
 	}
 	wg.Wait()
@@ -288,107 +292,65 @@ func (f *Fleet) workersPerPop() int {
 	return limit
 }
 
-// runPopSim drives one population through the runner's streaming dataset
-// visitor: the Gate hook paces arrivals and enforces admission, the
-// PerSession hook applies the per-viewer watch duration and abandon
-// policy, and each outcome is reduced to sessionStats on the spot.
-func (f *Fleet) runPopSim(ctx context.Context, ps *popState) error {
-	r := runner.New(f.manifest)
-	r.Weights = f.weights
-	r.Sim.BufferMax = f.sc.bufferMax()
-	r.Sim.Horizon = f.sc.horizon()
-	r.Normalize = false
-	r.Workers = f.workersPerPop()
-	if f.opt.Registry != nil {
-		r.Obs = obs.NewRecorder(f.opt.Registry, nil)
-	}
-	r.Gate = func(ctx context.Context, session int) (func(), error) {
-		return f.admit(ctx, ps)
-	}
-	r.PerSession = func(session int, cfg *sim.Config) {
-		cfg.MaxChunks = ps.watchFor(session, f.manifest.ChunkCount)
-		cfg.AbandonRebuffer = ps.pop.AbandonRebufferSec
-	}
-	// Per-session trace assignment: pointers into the shared pool, the
-	// only per-session allocation the whole run retains.
-	assigned := make([]*trace.Trace, ps.pop.Sessions)
-	for i := range assigned {
-		assigned[i] = ps.traceFor(i, f.pool)
-	}
-	return r.RunDatasetFunc(ctx, ps.alg, assigned, func(o runner.Outcome) {
-		watched := ps.watchFor(o.Session, f.manifest.ChunkCount)
-		f.complete(ps, ps.stats(o.Result, o.QoE, o.Metrics, watched), o.Session)
+// playFunc plays one admitted session on a backend: session is its index
+// within the population, tr its trace and cfg its player configuration.
+type playFunc func(ctx context.Context, ps *popState, session int, tr *trace.Trace, cfg sim.Config) (*model.SessionResult, error)
+
+// sessionHook, when non-nil, receives every completed session's log
+// before aggregation, on every backend. Tests use it to capture
+// per-session decision sequences; it must be safe for concurrent calls.
+var sessionHook func(pop string, session int, res *model.SessionResult)
+
+// runPop drives one population through its backend's play function: a
+// pool of workers each admits a session, plays it, and streams the result
+// into the aggregate. A failed session does not abort the population — it
+// is counted on the errors series and the run continues, as a load
+// generator must against a flaky backend. Only cancellation stops the
+// population.
+func (f *Fleet) runPop(ctx context.Context, ps *popState, play playFunc) error {
+	return runner.ForEach(ctx, ps.pop.Sessions, f.workersPerPop(), func(i int) error {
+		cfg := f.sessionConfig(ps, i)
+		done, err := f.admit(ctx, ps)
+		var res *model.SessionResult
+		if err == nil {
+			res, err = play(ctx, ps, i, ps.traceFor(i, f.pool), cfg)
+			done()
+		}
+		if err != nil {
+			ps.ot.add(i, nil)
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			ps.errors.Add(1)
+			ps.mErrors.Inc()
+			return nil
+		}
+		if sessionHook != nil {
+			sessionHook(ps.pop.Name, i, res)
+		}
+		f.complete(ps, ps.stats(res, f.weights, cfg.MaxChunks), i)
+		return nil
 	})
 }
 
-// runPop drives one population through the emu or svc backend: a pool of
-// workers each admits a session, plays it with play, and streams the result
-// into the aggregate. Unlike the simulator path a failed session does not
-// abort the population — it is counted on the errors series and the run
-// continues, matching how a load generator must behave against a flaky
-// backend. Only admission failure or cancellation stops the population.
-func (f *Fleet) runPop(ctx context.Context, ps *popState, play func(context.Context, *popState, int) (sessionStats, error)) error {
-	workers := f.workersPerPop()
-	if workers > ps.pop.Sessions {
-		workers = ps.pop.Sessions
+// sessionConfig is session i's player configuration on every backend:
+// the scenario's buffer and horizon, the algorithm's startup policy, the
+// viewer's watch length and abandon threshold, and the fleet's recorder
+// stamped with the session index.
+func (f *Fleet) sessionConfig(ps *popState, i int) sim.Config {
+	return sim.Config{
+		BufferMax:       f.sc.bufferMax(),
+		Horizon:         f.sc.horizon(),
+		Startup:         ps.alg.Startup,
+		MaxChunks:       ps.watchFor(i, f.manifest.ChunkCount),
+		AbandonRebuffer: ps.pop.AbandonRebufferSec,
+		Obs:             f.rec.WithSession(i),
 	}
-	var (
-		wg       sync.WaitGroup
-		idx      = make(chan int)
-		stop     = make(chan struct{})
-		stopOnce sync.Once
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stopOnce.Do(func() { close(stop) })
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				done, err := f.admit(ctx, ps)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				st, err := play(ctx, ps, i)
-				done()
-				if err != nil {
-					if ctx.Err() != nil {
-						fail(ctx.Err())
-						continue
-					}
-					ps.errors.Add(1)
-					ps.mErrors.Inc()
-					continue
-				}
-				f.complete(ps, st, i)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < ps.pop.Sessions; i++ {
-		select {
-		case idx <- i:
-		case <-stop:
-			break dispatch
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+}
+
+// playSimSession plays one session in the trace-driven simulator.
+func (f *Fleet) playSimSession(_ context.Context, ps *popState, _ int, tr *trace.Trace, cfg sim.Config) (*model.SessionResult, error) {
+	return sim.Run(f.manifest, tr, ps.alg.Factory(f.manifest), ps.alg.Predictor(tr), cfg)
 }
 
 // admit is the launch gate every session passes: arrival-process pacing,
@@ -426,16 +388,17 @@ func (f *Fleet) complete(ps *popState, s sessionStats, session int) {
 		ps.mQoE.Observe(s.qoe / float64(s.chunks))
 	}
 	ps.mRebuf.Observe(s.rebuffer)
-	ps.ot.add(session, s)
+	ps.ot.add(session, &s)
 }
 
 // stats reduces one finished session to the scalars the aggregate keeps.
 // The viewer abandoned the session when the rebuffer policy cut it short of
 // its watched chunks.
-func (ps *popState) stats(res *model.SessionResult, qoe float64, m model.Metrics, watched int) sessionStats {
+func (ps *popState) stats(res *model.SessionResult, w model.Weights, watched int) sessionStats {
+	m := res.ComputeMetrics(model.QIdentity)
 	return sessionStats{
 		chunks:   len(res.Chunks),
-		qoe:      qoe,
+		qoe:      res.QoE(w, model.QIdentity),
 		bitrate:  m.AvgBitrate,
 		rebuffer: m.RebufferTime,
 		switches: float64(m.Switches),

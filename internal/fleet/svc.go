@@ -11,6 +11,7 @@ import (
 	"mpcdash/internal/abrsvc"
 	"mpcdash/internal/model"
 	"mpcdash/internal/sim"
+	"mpcdash/internal/trace"
 )
 
 // The svc backend plays each session against a live ABR decision service
@@ -27,7 +28,7 @@ import (
 // requests are idempotent by chunk index, so a session's decision
 // sequence is a pure function of its trace — same-seed runs reproduce
 // byte-identical per-session sequences even across shed/retry storms.
-// Like the emu backend, a failed session counts on the errors series
+// As on every backend, a failed session counts on the errors series
 // rather than aborting the population (see runPop).
 
 // svcAlgorithms maps fleet algorithm names onto the service's decision
@@ -117,17 +118,13 @@ func (e *svcEnv) close(ctx context.Context) error {
 	return e.server.Shutdown(ctx)
 }
 
-// svcSessionHook, when non-nil, receives every completed svc session's
-// log before aggregation. Tests use it to capture per-session decision
-// sequences; it must be safe for concurrent calls.
-var svcSessionHook func(pop string, session int, res *model.SessionResult)
-
 // playSvcSession registers one session with the service, plays it through
 // the simulator with the HTTP-backed controller, and deletes it. Every
 // session registers the full video spec — watch truncation happens via
 // sim.Config.MaxChunks — so all sessions of a scenario share one decision
-// table server-side.
-func (f *Fleet) playSvcSession(ctx context.Context, ps *popState, session int) (sessionStats, error) {
+// table server-side. The service returns no startup delay, so svc
+// sessions start on the first chunk.
+func (f *Fleet) playSvcSession(ctx context.Context, ps *popState, session int, tr *trace.Trace, cfg sim.Config) (*model.SessionResult, error) {
 	v := f.sc.video()
 	id := fmt.Sprintf("%s.%s.%d.%d", f.sc.Name, ps.pop.Name, f.sc.Seed, session)
 	req := abrsvc.SessionRequest{
@@ -147,13 +144,13 @@ func (f *Fleet) playSvcSession(ctx context.Context, ps *popState, session int) (
 		// resident until TTL eviction; reclaim it once.
 		var apiErr *abrsvc.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != 409 {
-			return sessionStats{}, err
+			return nil, err
 		}
 		if derr := f.svc.client.Delete(ctx, id); derr != nil {
-			return sessionStats{}, derr
+			return nil, derr
 		}
 		if _, rerr := f.svc.client.Register(ctx, req); rerr != nil {
-			return sessionStats{}, rerr
+			return nil, rerr
 		}
 	}
 	defer func() { _ = f.svc.client.Delete(context.WithoutCancel(ctx), id) }()
@@ -167,24 +164,15 @@ func (f *Fleet) playSvcSession(ctx context.Context, ps *popState, session int) (
 		probe:   probe,
 		retries: svcDecideRetries,
 	}
-	cfg := sim.Config{
-		BufferMax:       f.sc.bufferMax(),
-		Horizon:         f.sc.horizon(),
-		Startup:         sim.StartupFirstChunk,
-		MaxChunks:       ps.watchFor(session, f.manifest.ChunkCount),
-		AbandonRebuffer: ps.pop.AbandonRebufferSec,
-	}
-	res, err := sim.Run(f.manifest, ps.traceFor(session, f.pool), ctrl, probe, cfg)
+	cfg.Startup = sim.StartupFirstChunk
+	res, err := sim.Run(f.manifest, tr, ctrl, probe, cfg)
 	if err != nil {
-		return sessionStats{}, err
+		return nil, err
 	}
 	if ctrl.err != nil {
-		return sessionStats{}, ctrl.err
+		return nil, ctrl.err
 	}
-	if svcSessionHook != nil {
-		svcSessionHook(ps.pop.Name, session, res)
-	}
-	return ps.stats(res, res.QoE(f.weights, model.QIdentity), res.ComputeMetrics(model.QIdentity), cfg.MaxChunks), nil
+	return res, nil
 }
 
 // svcDecideRetries bounds the shed-retry protocol per decision; with the

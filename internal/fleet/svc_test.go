@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"mpcdash/internal/abrsvc"
 	"mpcdash/internal/fastmpc"
 	"mpcdash/internal/model"
+	"mpcdash/internal/trace"
 )
 
 // svcTestScenario is a compact svc-backend scenario: both decision rules
@@ -51,7 +53,7 @@ func runSvcCapture(t *testing.T, sc *Scenario) (*Report, map[string][]int) {
 	t.Helper()
 	var mu sync.Mutex
 	seqs := make(map[string][]int)
-	svcSessionHook = func(pop string, session int, res *model.SessionResult) {
+	sessionHook = func(pop string, session int, res *model.SessionResult) {
 		levels := make([]int, len(res.Chunks))
 		for i, c := range res.Chunks {
 			levels[i] = c.Level
@@ -60,7 +62,7 @@ func runSvcCapture(t *testing.T, sc *Scenario) (*Report, map[string][]int) {
 		seqs[fmt.Sprintf("%s/%d", pop, session)] = levels
 		mu.Unlock()
 	}
-	defer func() { svcSessionHook = nil }()
+	defer func() { sessionHook = nil }()
 
 	f, err := New(sc, Options{Backend: BackendSvc})
 	if err != nil {
@@ -229,13 +231,14 @@ func TestSvcSessionReclaim(t *testing.T) {
 			}
 			defer f.svc.close(ctx)
 
-			stats, err := f.playSvcSession(ctx, f.pops[0], 0)
+			ps := f.pops[0]
+			res, err := f.playSvcSession(ctx, ps, 0, ps.traceFor(0, f.pool), f.sessionConfig(ps, 0))
 			if tc.status == http.StatusNoContent {
 				if err != nil {
 					t.Fatalf("reclaimed session failed: %v", err)
 				}
-				if stats.chunks == 0 || registers.Load() != 2 {
-					t.Fatalf("played %d chunks after %d registers, want > 0 after 2", stats.chunks, registers.Load())
+				if len(res.Chunks) == 0 || registers.Load() != 2 {
+					t.Fatalf("played %d chunks after %d registers, want > 0 after 2", len(res.Chunks), registers.Load())
 				}
 				return
 			}
@@ -245,6 +248,97 @@ func TestSvcSessionReclaim(t *testing.T) {
 			}
 			if registers.Load() != 1 {
 				t.Fatalf("%d registers after a failed reclaim, want 1", registers.Load())
+			}
+		})
+	}
+}
+
+// TestFleetFailedSessionCounted: on every backend a failed session counts
+// on the errors series and the population plays on, so the report
+// accounts for every session and the sessions after the failed one still
+// reach the aggregate. On sim a dead trace fails the sessions drawn onto
+// it. On svc a stub in front of a real service answers one session's
+// decide for chunk k with 404, as after TTL eviction: that session makes
+// exactly one request for chunk k and no decide after it.
+func TestFleetFailedSessionCounted(t *testing.T) {
+	const k = 2
+	sc := svcTestScenario(16)
+	victim := fmt.Sprintf("%s.%s.%d.%d", sc.Name, sc.Populations[0].Name, sc.Seed, 0)
+	var chunkK, after atomic.Int32
+	backend := abrsvc.New(abrsvc.Config{Tables: fastmpc.NewRegistry()}).Handler()
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/decide" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var req abrsvc.DecideRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Error(err)
+			}
+			switch {
+			case req.Session == victim && req.Chunk == k:
+				chunkK.Add(1)
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusNotFound)
+				_ = json.NewEncoder(w).Encode(abrsvc.ErrorResponse{Error: "unknown session"})
+				return
+			case req.Session == victim && req.Chunk > k:
+				after.Add(1)
+			}
+		}
+		backend.ServeHTTP(w, r)
+	}))
+	defer stub.Close()
+
+	dead, err := trace.FromRates("dead", 60, []float64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		dead bool // put the dead trace into the pool
+	}{
+		{"sim", Options{}, true},
+		{"svc", Options{Backend: BackendSvc, SvcURL: stub.URL}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New(svcTestScenario(16), tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(1) // the victim
+			if tc.dead {
+				f.pool["hsdpa"][0] = dead
+				want = 0
+				for _, ps := range f.pops {
+					for i := range ps.pop.Sessions {
+						if ps.traceFor(i, f.pool) == dead {
+							want++
+						}
+					}
+				}
+			}
+			rep, err := f.Run(context.Background())
+			if err != nil {
+				t.Fatalf("a failed session aborted the run: %v", err)
+			}
+			var errs int64
+			for _, p := range rep.Populations {
+				errs += p.Errors
+				if p.Completed+p.Errors != int64(p.Sessions) {
+					t.Errorf("population %s: %d completed + %d errors of %d sessions",
+						p.Name, p.Completed, p.Errors, p.Sessions)
+				}
+			}
+			if want == 0 || errs != want {
+				t.Errorf("%d session errors, want %d (> 0)", errs, want)
+			}
+			if !tc.dead && (chunkK.Load() != 1 || after.Load() != 0) {
+				t.Errorf("victim sent %d requests for chunk %d and %d decides after it, want 1 and 0",
+					chunkK.Load(), k, after.Load())
 			}
 		})
 	}

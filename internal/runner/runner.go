@@ -66,7 +66,8 @@ type Runner struct {
 	// Opt overrides the offline solver configuration; nil uses defaults.
 	Opt *optimal.Solver
 
-	// Workers bounds parallelism; 0 means GOMAXPROCS.
+	// Workers bounds the dataset worker pool (see ForEach); 0 means
+	// GOMAXPROCS.
 	Workers int
 
 	// Obs receives per-decision events from every session (stamped with
@@ -76,17 +77,17 @@ type Runner struct {
 	Obs *obs.Recorder
 
 	// Gate, when non-nil, is called by a worker immediately before each
-	// session starts; it is the admission-control hook the fleet
-	// scheduler paces arrivals and bounds in-flight sessions with. A
-	// non-nil error cancels the remaining dataset (the error is
-	// returned to the caller); the returned done callback, if any, is
-	// invoked once the session finishes, success or not.
+	// session starts, e.g. to pace arrivals, bound in-flight sessions or
+	// time each session. A non-nil error cancels the remaining dataset
+	// (the error is returned to the caller); the returned done callback,
+	// if any, is invoked once the session finishes, success or not. The
+	// fleet does not use it: it admits sessions in its own pool.
 	Gate func(ctx context.Context, session int) (done func(), err error)
 
 	// PerSession, when non-nil, customizes the simulator configuration
 	// of one session after the Runner defaults and the algorithm's
-	// startup policy are applied — per-session watch durations and
-	// abandon policies in a heterogeneous population.
+	// startup policy are applied, e.g. a per-session watch duration. The
+	// fleet does not use it: it builds each session's config itself.
 	PerSession func(session int, cfg *sim.Config)
 
 	mu       sync.Mutex
@@ -181,24 +182,18 @@ func (r *Runner) runSession(alg Algorithm, tr *trace.Trace, session int) (Outcom
 
 // RunDatasetFunc plays every trace with the algorithm in parallel,
 // streaming each completed Outcome to visit instead of materializing the
-// whole slice — the memory contract fleet-scale callers need: a caller
-// that reduces outcomes to aggregates holds O(in-flight) sessions, never
-// O(dataset). visit is called from worker goroutines concurrently and
-// must be safe for concurrent use; Outcome.Session carries the trace
-// index for callers that need a deterministic reduction order.
+// whole slice: a caller that reduces outcomes to aggregates holds
+// O(in-flight) sessions, never O(dataset). visit is called from worker
+// goroutines concurrently and must be safe for concurrent use;
+// Outcome.Session carries the trace index for callers that need a
+// deterministic reduction order.
 //
 // The run stops early when ctx is cancelled, when the Gate hook refuses
 // an admission, or when a session fails: no further sessions launch,
 // in-flight sessions finish (and are still visited on success), and the
-// first error — or ctx.Err() — is returned.
+// first error — or ctx.Err() — is returned. The fleet does not call it:
+// its sessions run in its own pool over the same ForEach loop.
 func (r *Runner) RunDatasetFunc(ctx context.Context, alg Algorithm, traces []*trace.Trace, visit func(Outcome)) error {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(traces) {
-		workers = max(len(traces), 1)
-	}
 	// Runner-level progress instruments; every *obs method is nil-safe,
 	// so a disabled registry costs nothing in the worker loop.
 	var (
@@ -207,57 +202,63 @@ func (r *Runner) RunDatasetFunc(ctx context.Context, alg Algorithm, traces []*tr
 		busy     = reg.Gauge(MetricWorkersBusy, "Workers currently simulating a session.")
 		sessThpt = reg.Histogram(MetricSessionKbps, "Per-session mean download throughput in kbps.", obs.DefKbpsBuckets)
 	)
+	return ForEach(ctx, len(traces), r.Workers, func(i int) error {
+		if r.Gate != nil {
+			d, err := r.Gate(ctx, i)
+			if err != nil {
+				return err
+			}
+			if d != nil {
+				defer d()
+			}
+		}
+		busy.Add(1)
+		out, err := r.runSession(alg, traces[i], i)
+		busy.Add(-1)
+		done.Inc()
+		if err != nil {
+			return err
+		}
+		sessThpt.Observe(meanThroughput(out.Result))
+		visit(out)
+		return nil
+	})
+}
+
+// ForEach calls fn(i) for every i in [0, n) on up to workers goroutines
+// (0 means GOMAXPROCS). It stops dispatching once fn returns an error or
+// ctx is done, waits for the calls in flight, and returns the first
+// error fn returned, else ctx.Err(). Every index it dispatches reaches
+// fn, so a caller that must account for each started index sees all of
+// them.
+func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, max(n, 1))
 	var (
 		wg       sync.WaitGroup
 		idx      = make(chan int)
 		stop     = make(chan struct{}) // closed on first failure: halts dispatch
-		stopOnce sync.Once
-		errMu    sync.Mutex
+		once     sync.Once
 		firstErr error
 	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stopOnce.Do(func() { close(stop) })
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				var sessionDone func()
-				if r.Gate != nil {
-					d, err := r.Gate(ctx, i)
-					if err != nil {
-						fail(err)
-						continue
-					}
-					sessionDone = d
-				} else if err := ctx.Err(); err != nil {
-					fail(err)
-					continue
+				if err := fn(i); err != nil {
+					once.Do(func() {
+						firstErr = err
+						close(stop)
+					})
 				}
-				busy.Add(1)
-				out, err := r.runSession(alg, traces[i], i)
-				busy.Add(-1)
-				done.Inc()
-				if sessionDone != nil {
-					sessionDone()
-				}
-				if err != nil {
-					fail(err)
-					continue
-				}
-				sessThpt.Observe(meanThroughput(out.Result))
-				visit(out)
 			}
 		}()
 	}
 dispatch:
-	for i := range traces {
+	for i := 0; i < n && ctx.Err() == nil; i++ {
 		select {
 		case idx <- i:
 		case <-stop:
@@ -274,42 +275,30 @@ dispatch:
 	return ctx.Err()
 }
 
-// RunDatasetCtx plays every trace with the algorithm in parallel and
-// returns the outcomes in trace order, stopping early if ctx is
-// cancelled.
-func (r *Runner) RunDatasetCtx(ctx context.Context, alg Algorithm, traces []*trace.Trace) ([]Outcome, error) {
+// RunDataset plays every trace with the algorithm, in parallel, and
+// returns the outcomes in trace order.
+func (r *Runner) RunDataset(alg Algorithm, traces []*trace.Trace) ([]Outcome, error) {
 	outs := make([]Outcome, len(traces))
 	// Workers write disjoint indices; no lock needed.
-	err := r.RunDatasetFunc(ctx, alg, traces, func(o Outcome) { outs[o.Session] = o })
+	err := r.RunDatasetFunc(context.Background(), alg, traces, func(o Outcome) { outs[o.Session] = o })
 	if err != nil {
 		return nil, err
 	}
 	return outs, nil
 }
 
-// RunDataset plays every trace with the algorithm, in parallel.
-func (r *Runner) RunDataset(alg Algorithm, traces []*trace.Trace) ([]Outcome, error) {
-	return r.RunDatasetCtx(context.Background(), alg, traces)
-}
-
-// RunAllCtx evaluates every algorithm over the dataset and returns
-// outcomes keyed by algorithm name, stopping early if ctx is cancelled.
-func (r *Runner) RunAllCtx(ctx context.Context, algs []Algorithm, traces []*trace.Trace) (map[string][]Outcome, error) {
+// RunAll evaluates every algorithm over the dataset and returns outcomes
+// keyed by algorithm name.
+func (r *Runner) RunAll(algs []Algorithm, traces []*trace.Trace) (map[string][]Outcome, error) {
 	result := make(map[string][]Outcome, len(algs))
 	for _, alg := range algs {
-		outs, err := r.RunDatasetCtx(ctx, alg, traces)
+		outs, err := r.RunDataset(alg, traces)
 		if err != nil {
 			return nil, err
 		}
 		result[alg.Name] = outs
 	}
 	return result, nil
-}
-
-// RunAll evaluates every algorithm over the dataset and returns outcomes
-// keyed by algorithm name.
-func (r *Runner) RunAll(algs []Algorithm, traces []*trace.Trace) (map[string][]Outcome, error) {
-	return r.RunAllCtx(context.Background(), algs, traces)
 }
 
 // meanThroughput is the session's average realized download throughput.
@@ -348,28 +337,4 @@ func Select(outs []Outcome, f func(Outcome) float64) []float64 {
 		xs[i] = f(o)
 	}
 	return xs
-}
-
-// Transport aggregates the transport-health counters of a set of sessions
-// (always zero for simulator sessions; populated by the emulated HTTP
-// client's download engine).
-type Transport struct {
-	Retries   int // extra download attempts across all sessions
-	Resumes   int // Range-resumed transfers
-	Fallbacks int // chunks served via lowest-level fallback
-	Sessions  int // sessions that needed any recovery at all
-}
-
-// TransportHealth sums the recovery counters over outcomes.
-func TransportHealth(outs []Outcome) Transport {
-	var t Transport
-	for _, o := range outs {
-		t.Retries += o.Metrics.Retries
-		t.Resumes += o.Metrics.Resumes
-		t.Fallbacks += o.Metrics.Fallbacks
-		if o.Metrics.Retries > 0 || o.Metrics.Fallbacks > 0 {
-			t.Sessions++
-		}
-	}
-	return t
 }

@@ -338,7 +338,7 @@ func TestRunnerHooks(t *testing.T) {
 		configured.Add(1)
 		cfg.MaxChunks = 3
 	}
-	outs, err := r.RunDatasetCtx(context.Background(), slowAlg(0), traces)
+	outs, err := r.RunDataset(slowAlg(0), traces)
 	if err != nil {
 		t.Fatal(err)
 	}

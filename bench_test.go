@@ -1,6 +1,6 @@
-// Benchmarks regenerating the paper's evaluation (Sec 7): one benchmark per
-// table and figure, wrapping internal/experiments with a reduced trace
-// count so `go test -bench=.` completes in minutes, plus the Sec 7.4
+// Benchmarks regenerating the paper's evaluation (Sec 7): one
+// sub-benchmark per entry of experiments.All, with a reduced trace count
+// so `go test -bench=.` completes in minutes, plus the Sec 7.4
 // controller-overhead microbenchmarks. For paper-scale runs use
 // cmd/experiments with -traces 1000.
 package mpcdash_test
@@ -23,119 +23,26 @@ import (
 	"mpcdash/internal/trace"
 )
 
-// benchConfig keeps benchmark iterations affordable while exercising the
-// full experiment pipeline.
-func benchConfig() experiments.Config {
-	return experiments.Config{TraceCount: 12, Seed: 42, Out: io.Discard}
-}
-
-func BenchmarkFig7_DatasetCharacteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments runs every entry of the experiment catalog as a
+// sub-benchmark named by its key. Experiments that play their traces many
+// times per call (the sweeps, 11b, quality, predictors, mdp) get fewer.
+func BenchmarkExperiments(b *testing.B) {
+	traces := map[string]int{
+		"11a": 6, "11b": 6, "11c": 6, "11d": 6, "12a": 6, "12b": 6,
+		"levels": 6, "quality": 6, "predictors": 5, "mdp": 5,
 	}
-}
-
-func BenchmarkFig8_NormalizedQoE(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8(benchConfig()); err != nil {
-			b.Fatal(err)
+	for _, e := range experiments.All {
+		cfg := experiments.Config{TraceCount: 12, Seed: 42, Out: io.Discard}
+		if n, ok := traces[e.Key]; ok {
+			cfg.TraceCount = n
 		}
-	}
-}
-
-func BenchmarkFig9_FCCDetail(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig9(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10_HSDPADetail(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig10(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11a_PredictionError(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TraceCount = 6 // 8 error levels × 4 algorithms inside
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig11a(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11b_QoEPreferences(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TraceCount = 6
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig11b(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11c_BufferSize(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TraceCount = 6
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig11c(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11d_StartupTime(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TraceCount = 6
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig11d(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12a_Discretization(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TraceCount = 6
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12a(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12b_Horizon(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TraceCount = 6
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12b(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1_TableSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLevelsSweep_Extension(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TraceCount = 6
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.LevelsSweep(cfg); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(e.Key, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -306,26 +213,6 @@ func BenchmarkAblation_RobustWindow(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkPredictorSweep_Extension(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TraceCount = 5
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PredictorSweep(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMDPComparison_Extension(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TraceCount = 5
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MDPComparison(cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -4,109 +4,60 @@
 //
 // Usage:
 //
-//	experiments [-traces N] [-seed S] [-fig 8|9|10|11a|11b|11c|11d|12a|12b|levels] [-table 1] [-overhead] [-all]
+//	experiments [-traces N] [-seed S] [-fig KEY]
 //
-// With no selection flags, -all is implied.
+// KEY is one entry of the experiment catalog (7, 8, 9, 10, 11a, 11b, 11c,
+// 11d, 12a, 12b, table1, levels, predictors, mdp, quality, overhead);
+// without -fig every entry runs in that order. Timing lines go to stderr,
+// so stdout depends only on -traces and -seed, except Table 1's build
+// column and the overhead section.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"mpcdash/internal/experiments"
 )
 
 func main() {
+	keys := make([]string, len(experiments.All))
+	for i, e := range experiments.All {
+		keys[i] = e.Key
+	}
 	var (
-		traces   = flag.Int("traces", 100, "traces per dataset")
-		seed     = flag.Int64("seed", 42, "base workload seed")
-		fig      = flag.String("fig", "", "figure to regenerate (7, 8, 9, 10, 11a, 11b, 11c, 11d, 12a, 12b, levels)")
-		table    = flag.Int("table", 0, "table to regenerate (1)")
-		overhead = flag.Bool("overhead", false, "run the Sec 7.4 overhead microbenchmark")
-		all      = flag.Bool("all", false, "run every experiment")
+		traces = flag.Int("traces", 100, "traces per dataset")
+		seed   = flag.Int64("seed", 42, "base workload seed")
+		fig    = flag.String("fig", "", "experiment to run ("+strings.Join(keys, ", ")+"); empty runs all")
 	)
 	flag.Parse()
 
+	selected := experiments.All
+	if *fig != "" {
+		selected = nil
+		for _, e := range experiments.All {
+			if e.Key == *fig {
+				selected = append(selected, e)
+			}
+		}
+		if selected == nil {
+			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (have %s)\n", *fig, strings.Join(keys, ", "))
+			os.Exit(2)
+		}
+	}
+
 	cfg := experiments.Config{TraceCount: *traces, Seed: *seed, Out: os.Stdout}
-	if *fig == "" && *table == 0 && !*overhead {
-		*all = true
-	}
-
-	type job struct {
-		name string
-		run  func() error
-	}
-	wrap := func(f func(experiments.Config) error) func() error {
-		return func() error { return f(cfg) }
-	}
-	jobs := map[string]job{
-		"7":   {"Figure 7", wrap(func(c experiments.Config) error { _, err := experiments.Fig7(c); return err })},
-		"8":   {"Figure 8", wrap(func(c experiments.Config) error { _, err := experiments.Fig8(c); return err })},
-		"9":   {"Figure 9", wrap(func(c experiments.Config) error { _, err := experiments.Fig9(c); return err })},
-		"10":  {"Figure 10", wrap(func(c experiments.Config) error { _, err := experiments.Fig10(c); return err })},
-		"11a": {"Figure 11a", wrap(func(c experiments.Config) error { _, err := experiments.Fig11a(c); return err })},
-		"11b": {"Figure 11b", wrap(func(c experiments.Config) error { _, err := experiments.Fig11b(c); return err })},
-		"11c": {"Figure 11c", wrap(func(c experiments.Config) error { _, err := experiments.Fig11c(c); return err })},
-		"11d": {"Figure 11d", wrap(func(c experiments.Config) error { _, err := experiments.Fig11d(c); return err })},
-		"12a": {"Figure 12a", wrap(func(c experiments.Config) error { _, err := experiments.Fig12a(c); return err })},
-		"12b": {"Figure 12b", wrap(func(c experiments.Config) error { _, err := experiments.Fig12b(c); return err })},
-		"levels": {"Bitrate levels extension", wrap(func(c experiments.Config) error {
-			_, err := experiments.LevelsSweep(c)
-			return err
-		})},
-		"predictors": {"Predictor comparison extension", wrap(func(c experiments.Config) error {
-			_, err := experiments.PredictorSweep(c)
-			return err
-		})},
-		"mdp": {"MDP vs MPC extension", wrap(func(c experiments.Config) error {
-			_, err := experiments.MDPComparison(c)
-			return err
-		})},
-		"quality": {"Quality-function extension", wrap(func(c experiments.Config) error {
-			_, err := experiments.MultiQoESweep(c)
-			return err
-		})},
-		"table1": {"Table 1", wrap(func(c experiments.Config) error { _, err := experiments.Table1(c); return err })},
-		"overhead": {"Overhead", wrap(func(c experiments.Config) error {
-			_, err := experiments.Overhead(c)
-			return err
-		})},
-	}
-	order := []string{"7", "8", "9", "10", "11a", "11b", "11c", "11d", "12a", "12b", "table1", "levels", "predictors", "mdp", "quality", "overhead"}
-
-	var selected []string
-	switch {
-	case *all:
-		selected = order
-	default:
-		if *fig != "" {
-			selected = append(selected, *fig)
-		}
-		if *table == 1 {
-			selected = append(selected, "table1")
-		} else if *table != 0 {
-			fmt.Fprintf(os.Stderr, "experiments: unknown table %d (the paper has one table)\n", *table)
-			os.Exit(2)
-		}
-		if *overhead {
-			selected = append(selected, "overhead")
-		}
-	}
-
-	for _, key := range selected {
-		j, ok := jobs[key]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown figure %q\n", key)
-			os.Exit(2)
-		}
+	for _, e := range selected {
 		start := time.Now()
-		fmt.Printf("=== %s (traces=%d seed=%d) ===\n", j.name, *traces, *seed)
-		if err := j.run(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", j.name, err)
+		fmt.Printf("=== %s (traces=%d seed=%d) ===\n", e.Title, *traces, *seed)
+		if err := e.Run(cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Title, err)
 			os.Exit(1)
 		}
-		fmt.Printf("--- %s done in %s ---\n\n", j.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "--- %s done in %s ---\n", e.Title, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
 	}
 }

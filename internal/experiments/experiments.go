@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sec 7). Each FigNN/TableNN function runs the corresponding
-// workload and returns the plotted series; Print renders them as aligned
-// text rows. cmd/experiments drives them from the command line and the
-// repository-root benchmarks wrap them as testing.B targets. See the
+// workload, prints the plotted series as aligned text rows and returns
+// them. All lists every experiment in run order; cmd/experiments and the
+// repository-root BenchmarkExperiments both iterate it. See the
 // per-experiment index in DESIGN.md.
 package experiments
 
@@ -40,6 +40,41 @@ func (c Config) WithDefaults() Config {
 		c.CDFPoints = 11
 	}
 	return c
+}
+
+// Experiment is one table, figure or extension study of the catalog.
+type Experiment struct {
+	Key   string // cmd/experiments -fig value and sub-benchmark name
+	Title string
+	Run   func(Config) error
+}
+
+// All is the experiment catalog, in the order a full reproduction runs it.
+var All = []Experiment{
+	{"7", "Figure 7", run(Fig7)},
+	{"8", "Figure 8", run(Fig8)},
+	{"9", "Figure 9", run(Fig9)},
+	{"10", "Figure 10", run(Fig10)},
+	{"11a", "Figure 11a", run(Fig11a)},
+	{"11b", "Figure 11b", run(Fig11b)},
+	{"11c", "Figure 11c", run(Fig11c)},
+	{"11d", "Figure 11d", run(Fig11d)},
+	{"12a", "Figure 12a", run(Fig12a)},
+	{"12b", "Figure 12b", run(Fig12b)},
+	{"table1", "Table 1", run(Table1)},
+	{"levels", "Bitrate levels extension", run(LevelsSweep)},
+	{"predictors", "Predictor comparison extension", run(PredictorSweep)},
+	{"mdp", "MDP vs MPC extension", run(MDPComparison)},
+	{"quality", "Quality-function extension", run(MultiQoESweep)},
+	{"overhead", "Overhead", run(Overhead)},
+}
+
+// run drops an experiment's result, which it has already printed.
+func run[R any](f func(Config) (R, error)) func(Config) error {
+	return func(cfg Config) error {
+		_, err := f(cfg)
+		return err
+	}
 }
 
 func (c Config) printf(format string, args ...interface{}) {

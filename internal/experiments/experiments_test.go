@@ -177,3 +177,59 @@ func TestExtensions(t *testing.T) {
 		t.Errorf("quality sweep size = %d", len(qs))
 	}
 }
+
+// TestSweeps runs the figures drawn by the sweep loop on two traces. Every
+// series has one finite point per x, and BB's Fig 11a series is bitwise
+// constant across error levels, because BB ignores the throughput forecast.
+func TestSweeps(t *testing.T) {
+	cfg := tiny()
+	cfg.TraceCount = 2
+	for _, tc := range []struct {
+		key    string
+		fig    func(Config) (*SweepResult, error)
+		series int
+	}{
+		{"11a", Fig11a, 4},
+		{"11d", Fig11d, 4},
+		{"12a", Fig12a, 2},
+		{"12b", Fig12b, 3},
+	} {
+		res, err := tc.fig(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.key, err)
+		}
+		if len(res.Series) != tc.series {
+			t.Errorf("%s: %d series, want %d", tc.key, len(res.Series), tc.series)
+		}
+		for alg, ys := range res.Series {
+			if len(ys) != len(res.X) {
+				t.Errorf("%s/%s: %d points for %d x values", tc.key, alg, len(ys), len(res.X))
+			}
+			for i, y := range ys {
+				if math.IsNaN(y) {
+					t.Errorf("%s/%s: NaN at x=%v", tc.key, alg, res.X[i])
+				}
+			}
+		}
+		if tc.key != "11a" {
+			continue
+		}
+		bb := res.Series["BB"]
+		for i, y := range bb {
+			if math.Float64bits(y) != math.Float64bits(bb[0]) {
+				t.Errorf("11a: BB is %v at error %v but %v at %v", y, res.X[i], bb[0], res.X[0])
+			}
+		}
+	}
+}
+
+// TestCatalogKeysUnique: a -fig key names exactly one experiment.
+func TestCatalogKeysUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range All {
+		if seen[e.Key] {
+			t.Errorf("key %q appears twice", e.Key)
+		}
+		seen[e.Key] = true
+	}
+}

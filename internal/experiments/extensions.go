@@ -95,12 +95,7 @@ func MDPComparison(cfg Config) (map[string]map[string]float64, error) {
 				Startup:   sim.StartupFirstChunk,
 			},
 			runner.MPCAlgorithm(model.Balanced, model.QIdentity, 30, 5),
-			{
-				Name:      "RobustMPC",
-				Factory:   core.NewRobustMPC(model.Balanced, model.QIdentity, 30, 5),
-				Predictor: runner.TrackedHarmonicPred(5),
-				Startup:   sim.StartupController,
-			},
+			standard(model.Balanced, 30, 5, "RobustMPC")[0],
 		}
 		byAlg, err := r.RunAll(algs, traces)
 		if err != nil {

@@ -29,8 +29,8 @@ func Fig7(cfg Config) (*Fig7Result, error) {
 		PredError: map[string]stats.CDF{},
 	}
 	r := newRunner(m, model.Balanced, 30, 5)
-	r.Normalize = false                                                  // prediction error needs sessions, not optima
-	alg := runner.StandardSet(model.Balanced, model.QIdentity, 30, 5)[0] // RB w/ harmonic predictor
+	r.Normalize = false // prediction error needs sessions, not optima
+	alg := standard(model.Balanced, 30, 5, "RB")[0]
 	for name, traces := range cfg.datasets(m.Duration()) {
 		var means, stds []float64
 		for _, tr := range traces {

@@ -11,7 +11,6 @@ import (
 	"mpcdash/internal/predictor"
 	"mpcdash/internal/runner"
 	"mpcdash/internal/sim"
-	"mpcdash/internal/stats"
 	"mpcdash/internal/trace"
 )
 
@@ -23,74 +22,58 @@ func Fig12a(cfg Config) (*SweepResult, error) {
 	cfg = cfg.WithDefaults()
 	m := model.EnvivioManifest()
 	traces := sensitivityTraces(cfg, m.Duration())
-	levels := []int{5, 10, 50, 100, 200}
-	res := &SweepResult{Series: map[string][]float64{}}
 	r := newRunner(m, model.Balanced, 30, 5)
-	for _, n := range levels {
-		res.X = append(res.X, float64(n))
-		spec := fastmpc.BinSpec{
-			BufferBins: n, BufferMax: 30,
-			RateBins: n, RateMin: 10, RateMax: 2 * m.Ladder.Max(),
-		}
-		factory := fastmpc.NewController(model.Balanced, model.QIdentity, 30, 5, &spec, false, "FastMPC")
-		algs := []runner.Algorithm{
-			{
-				Name:      "FastMPC+Perfect",
-				Factory:   factory,
-				Predictor: runner.OraclePred(m.ChunkDuration),
-				Startup:   sim.StartupFirstChunk,
-			},
-			{
-				Name:      "FastMPC+Harmonic",
-				Factory:   factory,
-				Predictor: runner.HarmonicPred(5),
-				Startup:   sim.StartupFirstChunk,
-			},
-		}
-		for _, alg := range algs {
-			outs, err := r.RunDataset(alg, traces)
-			if err != nil {
-				return nil, fmt.Errorf("fig12a n=%d: %w", n, err)
+	return sweep(cfg, "Figure 12a: n-QoE vs FastMPC discretization levels", "levels",
+		[]float64{5, 10, 50, 100, 200},
+		func(x float64) (*runner.Runner, []*trace.Trace, []runner.Algorithm, error) {
+			n := int(x)
+			spec := fastmpc.BinSpec{
+				BufferBins: n, BufferMax: 30,
+				RateBins: n, RateMin: 10, RateMax: 2 * m.Ladder.Max(),
 			}
-			res.Series[alg.Name] = append(res.Series[alg.Name], stats.Median(normQoE(outs)))
-		}
-	}
-	res.print(cfg, "Figure 12a: n-QoE vs FastMPC discretization levels", "levels")
-	return res, nil
+			factory := fastmpc.NewController(model.Balanced, model.QIdentity, 30, 5, &spec, false, "FastMPC")
+			return r, traces, []runner.Algorithm{
+				{
+					Name:      "FastMPC+Perfect",
+					Factory:   factory,
+					Predictor: runner.OraclePred(m.ChunkDuration),
+					Startup:   sim.StartupFirstChunk,
+				},
+				{
+					Name:      "FastMPC+Harmonic",
+					Factory:   factory,
+					Predictor: runner.HarmonicPred(5),
+					Startup:   sim.StartupFirstChunk,
+				},
+			}, nil
+		})
 }
 
 // Fig12b reproduces the look-ahead-horizon sweep: exact MPC under noisy
 // oracle predictions at 10/15/20% average error, horizons 2–9. Longer
-// horizons help until compounding prediction error erodes the gain.
+// horizons help until compounding prediction error erodes the gain. The
+// horizon is a player setting, so one runner serves every point.
 func Fig12b(cfg Config) (*SweepResult, error) {
 	cfg = cfg.WithDefaults()
 	m := model.EnvivioManifest()
 	traces := sensitivityTraces(cfg, m.Duration())
-	horizons := []int{2, 3, 4, 5, 6, 7, 8, 9}
-	errLevels := []float64{0.10, 0.15, 0.20}
-	res := &SweepResult{Series: map[string][]float64{}}
-	for _, h := range horizons {
-		res.X = append(res.X, float64(h))
-	}
-	for _, e := range errLevels {
-		label := fmt.Sprintf("MPC err=%d%%", int(e*100))
-		for _, h := range horizons {
-			r := newRunner(m, model.Balanced, 30, h)
-			alg := runner.Algorithm{
-				Name:      label,
-				Factory:   core.NewMPC(model.Balanced, model.QIdentity, 30, h),
-				Predictor: runner.NoisyOraclePred(m.ChunkDuration, e, cfg.Seed+int64(h*100)+int64(e*1000)),
-				Startup:   sim.StartupController,
+	r := newRunner(m, model.Balanced, 30, 5)
+	return sweep(cfg, "Figure 12b: n-QoE vs look-ahead horizon", "horizon",
+		[]float64{2, 3, 4, 5, 6, 7, 8, 9},
+		func(x float64) (*runner.Runner, []*trace.Trace, []runner.Algorithm, error) {
+			h := int(x)
+			r.Sim.Horizon = h
+			var algs []runner.Algorithm
+			for _, e := range []float64{0.10, 0.15, 0.20} {
+				algs = append(algs, runner.Algorithm{
+					Name:      fmt.Sprintf("MPC err=%d%%", int(e*100)),
+					Factory:   core.NewMPC(model.Balanced, model.QIdentity, 30, h),
+					Predictor: runner.NoisyOraclePred(m.ChunkDuration, e, cfg.Seed+int64(h*100)+int64(e*1000)),
+					Startup:   sim.StartupController,
+				})
 			}
-			outs, err := r.RunDataset(alg, traces)
-			if err != nil {
-				return nil, fmt.Errorf("fig12b h=%d err=%v: %w", h, e, err)
-			}
-			res.Series[label] = append(res.Series[label], stats.Median(normQoE(outs)))
-		}
-	}
-	res.print(cfg, "Figure 12b: n-QoE vs look-ahead horizon", "horizon")
-	return res, nil
+			return r, traces, algs, nil
+		})
 }
 
 // Table1Row is one row of the FastMPC table-size table.
@@ -152,37 +135,16 @@ func Table1(cfg Config) ([]Table1Row, error) {
 // stability.
 func LevelsSweep(cfg Config) (*SweepResult, error) {
 	cfg = cfg.WithDefaults()
-	counts := []int{2, 3, 5, 7, 10}
-	res := &SweepResult{Series: map[string][]float64{}}
-	for _, n := range counts {
-		res.X = append(res.X, float64(n))
-		m, err := model.NewCBRManifest(model.UniformLadder(n, 350, 3000), 65, 4)
-		if err != nil {
-			return nil, err
-		}
-		traces := sensitivityTraces(cfg, m.Duration())
-		r := newRunner(m, model.Balanced, 30, 5)
-		algs := []runner.Algorithm{
-			runner.MPCOptAlgorithm(model.Balanced, model.QIdentity, 30, 5, m.ChunkDuration),
-			{
-				Name:      "FastMPC",
-				Factory:   fastmpc.NewController(model.Balanced, model.QIdentity, 30, 5, nil, false, "FastMPC"),
-				Predictor: runner.HarmonicPred(5),
-				Startup:   sim.StartupFirstChunk,
-			},
-			{Name: "BB", Factory: abr.NewBB(5, 10), Predictor: runner.HarmonicPred(5), Startup: sim.StartupFirstChunk},
-			{Name: "RB", Factory: abr.NewRB(1), Predictor: runner.HarmonicPred(5), Startup: sim.StartupFirstChunk},
-		}
-		byAlg, err := r.RunAll(algs, traces)
-		if err != nil {
-			return nil, fmt.Errorf("levels n=%d: %w", n, err)
-		}
-		for alg, med := range medians(byAlg) {
-			res.Series[alg] = append(res.Series[alg], med)
-		}
-	}
-	res.print(cfg, "Extension: n-QoE vs number of bitrate levels", "levels")
-	return res, nil
+	return sweep(cfg, "Extension: n-QoE vs number of bitrate levels", "levels",
+		[]float64{2, 3, 5, 7, 10},
+		func(x float64) (*runner.Runner, []*trace.Trace, []runner.Algorithm, error) {
+			m, err := model.NewCBRManifest(model.UniformLadder(int(x), 350, 3000), 65, 4)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return newRunner(m, model.Balanced, 30, 5), sensitivityTraces(cfg, m.Duration()),
+				fig11Algorithms(model.Balanced, 30, 5, m.ChunkDuration), nil
+		})
 }
 
 // OverheadRow reports the per-decision cost of one controller.

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	"mpcdash/internal/abr"
@@ -50,12 +51,14 @@ func OraclePred(step float64) PredictorFactory {
 }
 
 // NoisyOraclePred returns the Fig 11a predictor: ground truth corrupted to
-// the given average error level, seeded per trace for determinism.
+// the given average error level. Each trace's noise is seeded from baseSeed
+// and an FNV-1a hash of the trace's name, so it does not depend on which
+// worker builds the predictor, or when.
 func NoisyOraclePred(step, errorLevel float64, baseSeed int64) PredictorFactory {
-	seq := baseSeed
 	return func(tr *trace.Trace) predictor.Predictor {
-		seq++
-		return predictor.NewNoisyOracle(tr, step, errorLevel, seq)
+		h := fnv.New64a()
+		h.Write([]byte(tr.Name))
+		return predictor.NewNoisyOracle(tr, step, errorLevel, baseSeed+int64(h.Sum64()))
 	}
 }
 

@@ -83,28 +83,58 @@ func TestOptimalQoECached(t *testing.T) {
 	}
 }
 
+// TestRunDatasetParallelDeterminism: outcomes do not depend on the worker
+// count, also for the noisy oracle, whose predictors the workers build
+// concurrently (a race there shows under -race).
 func TestRunDatasetParallelDeterminism(t *testing.T) {
 	m := shortManifest(t)
 	traces := trace.Dataset(trace.FCC, 6, m.Duration()+120, 3)
-	alg := StandardSet(model.Balanced, model.QIdentity, 30, 5)[0]
+	rb := StandardSet(model.Balanced, model.QIdentity, 30, 5)[0]
+	noisy := rb
+	noisy.Predictor = NoisyOraclePred(m.ChunkDuration, 0.2, 42)
 
-	run := func(workers int) []Outcome {
-		r := New(m)
-		r.Workers = workers
-		outs, err := r.RunDataset(alg, traces)
-		if err != nil {
-			t.Fatal(err)
+	for _, alg := range []Algorithm{rb, noisy} {
+		run := func(workers int) []Outcome {
+			r := New(m)
+			r.Workers = workers
+			outs, err := r.RunDataset(alg, traces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return outs
 		}
-		return outs
+		serial := run(1)
+		parallel := run(8)
+		if len(serial) != len(parallel) {
+			t.Fatalf("lengths differ")
+		}
+		for i := range serial {
+			if serial[i].QoE != parallel[i].QoE || serial[i].TraceName != parallel[i].TraceName {
+				t.Errorf("trace %d: serial %v vs parallel %v", i, serial[i].QoE, parallel[i].QoE)
+			}
+		}
 	}
-	serial := run(1)
-	parallel := run(8)
-	if len(serial) != len(parallel) {
-		t.Fatalf("lengths differ")
+}
+
+// TestNoisyOraclePredOrderIndependent: a trace's noisy forecast depends on
+// the seed and the trace only, not on the traces the factory served first.
+func TestNoisyOraclePredOrderIndependent(t *testing.T) {
+	a := trace.GenFCC(1, 200)
+	b := trace.GenFCC(2, 200)
+	forecasts := func(order ...*trace.Trace) map[string][]float64 {
+		mk := NoisyOraclePred(4, 0.2, 42)
+		out := map[string][]float64{}
+		for _, tr := range order {
+			out[tr.Name] = mk(tr).Predict(5)
+		}
+		return out
 	}
-	for i := range serial {
-		if serial[i].QoE != parallel[i].QoE || serial[i].TraceName != parallel[i].TraceName {
-			t.Errorf("trace %d: serial %v vs parallel %v", i, serial[i].QoE, parallel[i].QoE)
+	ab, ba := forecasts(a, b), forecasts(b, a)
+	for _, name := range []string{a.Name, b.Name} {
+		for i := range ab[name] {
+			if math.Float64bits(ab[name][i]) != math.Float64bits(ba[name][i]) {
+				t.Errorf("%s step %d: %v after one order, %v after the other", name, i, ab[name][i], ba[name][i])
+			}
 		}
 	}
 }

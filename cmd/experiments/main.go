@@ -8,9 +8,9 @@
 //
 // KEY is one entry of the experiment catalog (7, 8, 9, 10, 11a, 11b, 11c,
 // 11d, 12a, 12b, table1, levels, predictors, mdp, quality, overhead);
-// without -fig every entry runs in that order. Timing lines go to stderr,
-// so stdout depends only on -traces and -seed, except Table 1's build
-// column and the overhead section.
+// without -fig every entry runs in that order. Timings (each entry's run
+// time, Table 1's build times and the overhead section's per-decision
+// costs) go to stderr, so stdout depends only on -traces and -seed.
 package main
 
 import (

@@ -20,6 +20,7 @@ import (
 	"mpcdash/internal/model"
 	"mpcdash/internal/multiplayer"
 	"mpcdash/internal/runner"
+	"mpcdash/internal/sim"
 	"mpcdash/internal/trace"
 )
 
@@ -79,7 +80,9 @@ func main() {
 		}
 	}
 
-	res, err := multiplayer.Run(m, bottleneck, ps, multiplayer.Config{BufferMax: 30, Horizon: 5})
+	cfg := sim.DefaultConfig()
+	cfg.Startup = alg.Startup
+	res, err := multiplayer.Run(m, bottleneck, ps, cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -10,11 +10,10 @@ import (
 	"fmt"
 	"log"
 
-	"mpcdash/internal/abr"
-	"mpcdash/internal/core"
 	"mpcdash/internal/model"
 	"mpcdash/internal/multiplayer"
-	"mpcdash/internal/predictor"
+	"mpcdash/internal/runner"
+	"mpcdash/internal/sim"
 	"mpcdash/internal/trace"
 )
 
@@ -29,42 +28,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	configs := []struct {
-		name string
-		mk   func(i int) multiplayer.Player
-	}{
-		{"3 × RB", func(i int) multiplayer.Player {
-			return multiplayer.Player{
-				Name:       fmt.Sprintf("rb-%d", i),
-				Controller: abr.NewRB(1)(manifest),
-				Predictor:  predictor.NewHarmonicMean(5),
-			}
-		}},
-		{"3 × FESTIVE", func(i int) multiplayer.Player {
-			return multiplayer.Player{
-				Name:       fmt.Sprintf("festive-%d", i),
-				Controller: abr.NewFESTIVE(12, 1, 5)(manifest),
-				Predictor:  predictor.NewHarmonicMean(5),
-			}
-		}},
-		{"3 × RobustMPC", func(i int) multiplayer.Player {
-			return multiplayer.Player{
-				Name:       fmt.Sprintf("mpc-%d", i),
-				Controller: core.NewRobustMPC(model.Balanced, model.QIdentity, 30, 5)(manifest),
-				Predictor:  predictor.NewErrorTracked(predictor.NewHarmonicMean(5), 5),
-			}
-		}},
-	}
+	algs := runner.StandardSet(model.Balanced, model.QIdentity, 30, 5)
 
 	fmt.Printf("%-14s %8s %8s %12s %10s %12s\n", "players", "jain", "util", "instability", "avg kbps", "avg QoE")
-	for _, cfgCase := range configs {
+	for _, name := range []string{"RB", "FESTIVE", "RobustMPC"} {
+		alg, err := runner.Lookup(algs, name)
+		if err != nil {
+			log.Fatal(err)
+		}
 		players := make([]multiplayer.Player, 3)
 		for i := range players {
-			players[i] = cfgCase.mk(i)
-			players[i].StartOffset = float64(i) * 5 // staggered joins
+			players[i] = multiplayer.Player{
+				Name:        fmt.Sprintf("%s-%d", name, i),
+				Controller:  alg.Factory(manifest),
+				Predictor:   alg.Predictor(link),
+				StartOffset: float64(i) * 5, // staggered joins
+			}
 		}
-		res, err := multiplayer.Run(manifest, link, players, multiplayer.Config{BufferMax: 30, Horizon: 5})
+		cfg := sim.DefaultConfig()
+		cfg.Startup = alg.Startup
+		res, err := multiplayer.Run(manifest, link, players, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,6 +57,6 @@ func main() {
 			avgQoE += s.QoE(model.Balanced, model.QIdentity) / float64(len(res.Sessions))
 		}
 		fmt.Printf("%-14s %8.3f %8.3f %12.3f %10.0f %12.0f\n",
-			cfgCase.name, res.JainIndex, res.Utilization, res.Instability, avgBitrate, avgQoE)
+			"3 × "+name, res.JainIndex, res.Utilization, res.Instability, avgBitrate, avgQoE)
 	}
 }

@@ -1,17 +1,19 @@
 // Package multiplayer extends the single-player model to the Sec 8
 // discussion: several adaptive players share one bottleneck link. The link
 // capacity follows a trace and is split equally among players that are
-// actively downloading (the standard TCP-fairness approximation); players
-// that pause with a full buffer release their share, which is precisely
-// the interaction that makes multi-player adaptation unstable and that
-// FESTIVE was designed around. The simulator is event-driven in continuous
-// time and produces per-player session logs plus cross-player fairness,
-// efficiency and stability metrics.
+// actively downloading (processor sharing, the standard TCP-fairness
+// approximation); players that pause with a full buffer release their
+// share, which is precisely the interaction that makes multi-player
+// adaptation unstable and that FESTIVE was designed around. Each player is
+// a sim.Session, so the buffer dynamics, startup policies and abandonment
+// are the single-player simulator's own; this package only moves time and
+// bytes between events, and measures fairness, efficiency and stability.
 package multiplayer
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"mpcdash/internal/abr"
 	"mpcdash/internal/model"
@@ -30,167 +32,133 @@ type Player struct {
 	StartOffset float64
 }
 
-// Config parameterizes the shared-link simulation.
-type Config struct {
-	BufferMax float64 // per-player buffer cap, seconds
-	Horizon   int     // forecast length requested from predictors
-}
-
 // Result is the outcome for one player plus the cross-player metrics.
 type Result struct {
 	Sessions []*model.SessionResult // one per player, in input order
 
-	// Fairness metrics over the overlap period.
-	JainIndex   float64 // Jain fairness index of average bitrates
-	Utilization float64 // delivered kilobits / link capacity while ≥1 player active
+	JainIndex float64 // Jain fairness index of average bitrates
+	// Utilization is the delivered kilobits ÷ the link's capacity over the
+	// time at least one player has arrived and not yet received its last
+	// chunk. Buffer-full waits that leave the link idle lower it.
+	Utilization float64
 	Instability float64 // mean per-player bitrate switches per chunk
 }
 
-// phase of a player's chunk loop.
-type phase int
-
-const (
-	phaseArriving phase = iota // not yet started
-	phaseDeciding              // about to pick the next chunk
-	phaseDownload              // transferring
-	phaseWaiting               // buffer full, holding off
-	phaseDone
-)
-
-// state is one player's live simulation state.
-type state struct {
-	player Player
-	phase  phase
-
-	chunk     int
-	prev      int
-	buffer    float64
-	playing   bool
-	waitUntil float64
-
-	// current download
-	remaining  float64 // kbits left
-	size       float64 // total kbits
-	dlStart    float64
-	dlStall    float64 // stall seconds accumulated during this download
-	level      int
-	predicted  float64
-	bufAtStart float64
-
-	records []model.ChunkRecord
-	startup float64
+// player is one session's place on the shared link.
+type player struct {
+	s    sim.Session
+	c    *model.ChunkRecord // chunk in transfer, nil while idle
+	left float64            // kilobits of c not yet delivered
+	dl   float64            // seconds c has been in transfer
+	next float64            // time of the next decision while idle
+	done bool               // the session has ended
+	last float64            // time its latest chunk was delivered
 }
 
-// Run simulates all players over the shared link until every player
-// finishes its video.
-func Run(m *model.Manifest, link *trace.Trace, players []Player, cfg Config) (*Result, error) {
-	if cfg.BufferMax <= 0 {
-		return nil, fmt.Errorf("multiplayer: BufferMax must be positive, got %v", cfg.BufferMax)
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 5
-	}
+// Run plays one sim.Session per player over the shared link until every
+// session has ended. Between events each of the n active downloaders
+// receives 1/n of the trace's volume, so downloads finish at exact times;
+// the events are arrivals, download completions and the ends of
+// buffer-full waits, and simultaneous events are handled in player order.
+// With one player the result is sim.Run's.
+func Run(m *model.Manifest, link *trace.Trace, players []Player, cfg sim.Config) (*Result, error) {
 	if len(players) == 0 {
 		return nil, fmt.Errorf("multiplayer: no players")
 	}
 	if link.MaxRate() <= 0 {
 		return nil, fmt.Errorf("multiplayer: link %q is dead", link.Name)
 	}
-
-	states := make([]*state, len(players))
+	ps := make([]player, len(players))
 	for i, p := range players {
-		states[i] = &state{player: p, phase: phaseArriving, prev: -1}
+		s, err := sim.NewSession(m, p.Controller, p.Predictor, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("multiplayer: %w", err)
+		}
+		ps[i] = player{s: s, next: p.StartOffset}
 	}
 
-	const dt = 0.05 // integration step, seconds
 	now := 0.0
-	var deliveredKbits, capacityKbits float64
-
-	for !allDone(states) {
-		// Start decisions for players that are due.
-		for _, s := range states {
-			if s.phase == phaseArriving && now >= s.player.StartOffset {
-				s.phase = phaseDeciding
+	for {
+		// Decisions due now start their downloads.
+		for i := range ps {
+			p := &ps[i]
+			if p.done || p.c != nil || p.next > now {
+				continue
 			}
-			if s.phase == phaseWaiting && now >= s.waitUntil {
-				s.phase = phaseDeciding
+			if p.c = p.s.Next(p.next); p.c == nil {
+				p.done = true
+				continue
 			}
-			if s.phase == phaseDeciding {
-				beginChunk(m, s, now, cfg.Horizon)
-			}
+			p.c.SizeKbits = m.ChunkSize(p.c.Index, p.c.Level)
+			p.left, p.dl = p.c.SizeKbits, 0
 		}
 
-		// Count active downloaders and split the link.
-		active := 0
-		for _, s := range states {
-			if s.phase == phaseDownload {
-				active++
+		n, minLeft, wake := 0, math.Inf(1), math.Inf(1)
+		for i := range ps {
+			switch p := &ps[i]; {
+			case p.c != nil:
+				n++
+				minLeft = min(minLeft, p.left)
+			case !p.done:
+				wake = min(wake, p.next)
 			}
 		}
-		rate := link.RateAt(now)
-		if active > 0 {
-			capacityKbits += rate * dt
-		}
-		share := 0.0
-		if active > 0 {
-			share = rate / float64(active)
+		if n == 0 {
+			if math.IsInf(wake, 1) {
+				break
+			}
+			now = wake
+			continue
 		}
 
-		// Advance one step: transfer bytes, drain buffers, accrue stalls.
-		for _, s := range states {
-			if s.phase == phaseDownload {
-				got := share * dt
-				if got > s.remaining {
-					got = s.remaining
-				}
-				s.remaining -= got
-				deliveredKbits += got
-			}
-			if s.playing && s.phase != phaseDone {
-				drain := dt
-				if s.buffer < drain {
-					stall := drain - s.buffer
-					if s.phase == phaseDownload {
-						s.dlStall += stall
-					}
-					s.buffer = 0
-				} else {
-					s.buffer -= drain
-				}
-			}
+		// Advance to the next completion, or to the next decision if
+		// that comes first; every active player gets the same volume.
+		seg := link.DownloadTime(now, float64(n)*minLeft)
+		end, got := now+seg, minLeft
+		if end > wake {
+			seg, end = wake-now, wake
+			got = link.AverageRate(now, seg) * seg / float64(n)
 		}
-		now += dt
-
-		// Complete downloads.
-		for _, s := range states {
-			if s.phase == phaseDownload && s.remaining <= 1e-9 {
-				finishChunk(m, s, now, cfg)
+		now = end
+		for i := range ps {
+			p := &ps[i]
+			if p.c == nil {
+				continue
 			}
-		}
-
-		if now > 1e6 {
-			return nil, fmt.Errorf("multiplayer: simulation did not converge (t=%v)", now)
+			p.dl += seg
+			if p.left -= got; p.left > 0 {
+				continue
+			}
+			// Delivered: the next decision follows the download and the
+			// wait on the session's own clock, StartTime + (dl + wait),
+			// as sim's trace link keeps it.
+			p.c.DownloadTime = p.dl
+			wait := p.s.Account(p.c)
+			p.next = max(p.c.StartTime+(p.dl+wait), now)
+			p.c, p.last = nil, now
 		}
 	}
 
-	res := &Result{Sessions: make([]*model.SessionResult, len(states))}
-	var bitrates []float64
+	res := &Result{Sessions: make([]*model.SessionResult, len(ps))}
+	bitrates := make([]float64, len(ps))
+	spans := make([][2]float64, len(ps))
+	var delivered float64
 	var switches, chunks int
-	for i, s := range states {
-		sr := &model.SessionResult{
-			Algorithm:    s.player.Controller.Name(),
-			StartupDelay: s.startup,
-			Chunks:       s.records,
-		}
+	for i := range ps {
+		sr := ps[i].s.Result()
 		res.Sessions[i] = sr
 		met := sr.ComputeMetrics(model.QIdentity)
-		bitrates = append(bitrates, met.AvgBitrate)
+		bitrates[i] = met.AvgBitrate
 		switches += met.Switches
 		chunks += len(sr.Chunks)
+		for _, c := range sr.Chunks {
+			delivered += c.SizeKbits
+		}
+		spans[i] = [2]float64{players[i].StartOffset, ps[i].last}
 	}
 	res.JainIndex = jain(bitrates)
-	if capacityKbits > 0 {
-		res.Utilization = deliveredKbits / capacityKbits
+	if capacity := volume(link, spans); capacity > 0 {
+		res.Utilization = delivered / capacity
 	}
 	if chunks > 0 {
 		res.Instability = float64(switches) / float64(chunks)
@@ -198,76 +166,19 @@ func Run(m *model.Manifest, link *trace.Trace, players []Player, cfg Config) (*R
 	return res, nil
 }
 
-// beginChunk asks the controller for the next level, through the same
-// decision step as the single-player loop, and starts the transfer.
-func beginChunk(m *model.Manifest, s *state, now float64, horizon int) {
-	dec, predicted, _ := sim.Decide(m.Ladder, s.player.Controller, s.player.Predictor, horizon, abr.State{
-		Chunk:  s.chunk,
-		Buffer: s.buffer,
-		Prev:   s.prev,
-		Time:   now,
-	})
-	s.level = dec.Level
-	s.size = m.ChunkSize(s.chunk, s.level)
-	s.remaining = s.size
-	s.dlStart = now
-	s.dlStall = 0
-	s.bufAtStart = s.buffer
-	s.predicted = predicted
-	s.phase = phaseDownload
-}
-
-// finishChunk records the completed transfer and schedules what's next.
-func finishChunk(m *model.Manifest, s *state, now float64, cfg Config) {
-	dl := now - s.dlStart
-	throughput := s.size / math.Max(dl, 1e-9)
-	s.player.Predictor.Observe(throughput)
-
-	if s.chunk == 0 {
-		// Play as soon as the first chunk arrives.
-		s.playing = true
-		s.startup = dl
-	}
-	s.buffer += m.ChunkDuration
-	wait := math.Max(s.buffer-cfg.BufferMax, 0)
-	s.buffer -= wait
-
-	s.records = append(s.records, model.ChunkRecord{
-		Index:        s.chunk,
-		Level:        s.level,
-		Bitrate:      m.Ladder[s.level],
-		SizeKbits:    s.size,
-		StartTime:    s.dlStart,
-		DownloadTime: dl,
-		Throughput:   throughput,
-		BufferBefore: s.bufAtStart,
-		BufferAfter:  s.buffer,
-		Rebuffer:     s.dlStall,
-		Wait:         wait,
-		Predicted:    s.predicted,
-	})
-	s.prev = s.level
-	s.chunk++
-	if s.chunk >= m.ChunkCount {
-		s.phase = phaseDone
-		return
-	}
-	if wait > 0 {
-		s.phase = phaseWaiting
-		s.waitUntil = now + wait
-		return
-	}
-	s.phase = phaseDeciding
-	beginChunk(m, s, now, cfg.Horizon)
-}
-
-func allDone(states []*state) bool {
-	for _, s := range states {
-		if s.phase != phaseDone {
-			return false
+// volume returns the kilobits link can carry over the union of spans.
+func volume(link *trace.Trace, spans [][2]float64) float64 {
+	sort.Slice(spans, func(i, j int) bool { return spans[i][0] < spans[j][0] })
+	var kbits float64
+	reach := math.Inf(-1)
+	for _, s := range spans {
+		from := max(s[0], reach)
+		if s[1] > from {
+			kbits += link.AverageRate(from, s[1]-from) * (s[1] - from)
+			reach = s[1]
 		}
 	}
-	return true
+	return kbits
 }
 
 // jain computes the Jain fairness index: (Σx)² / (n·Σx²), 1 for perfect

@@ -2,8 +2,9 @@
 // timing, Eq. (2) average download throughput, Eq. (3) buffer evolution and
 // Eq. (4) buffer-full waiting — invoking a Controller at every chunk
 // boundary exactly as the modified dash.js player does (Sec 6: sequential
-// downloads, decisions at chunk starts). Play runs that process over any
-// Link; Run is the trace-driven simulator, Play over a throughput trace.
+// downloads, decisions at chunk starts). A Session holds one player's
+// process, stepped a chunk at a time; Play steps it over any Link, and Run
+// is the trace-driven simulator, Play over a throughput trace.
 // The emulator plays the same loop over real HTTP. Both produce the
 // per-chunk session log that the QoE metric and all evaluation figures are
 // computed from.
@@ -122,111 +123,145 @@ func (l *traceLink) Wait(sec float64) error {
 // Eq. (3)/(4), wait. It returns the session log, or the first error the
 // link reports.
 func Play(m *model.Manifest, link Link, ctrl abr.Controller, pred predictor.Predictor, cfg Config) (*model.SessionResult, error) {
+	s, err := NewSession(m, ctrl, pred, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for c := s.Next(link.Now()); c != nil; c = s.Next(link.Now()) {
+		if err := link.Fetch(c); err != nil {
+			return nil, err
+		}
+		if err := link.Wait(s.Account(c)); err != nil {
+			return nil, err
+		}
+	}
+	return s.Result(), nil
+}
+
+// Session is one player's chunk loop, stepped by its caller: Next decides
+// a chunk, the caller downloads it and fills in its size and download
+// time, and Account applies Eq. (3)/(4). Play steps one Session over a
+// Link; the multi-player simulator steps several over a shared link.
+type Session struct {
+	m    *model.Manifest
+	ctrl abr.Controller
+	pred predictor.Predictor
+	cfg  Config
+	res  *model.SessionResult
+
+	chunks   int     // chunks to play, after MaxChunks
+	buffer   float64 // B_k
+	prev     int     // level of the last chunk, -1 before the first
+	rebufTot float64 // cumulative stall, drives AbandonRebuffer
+	over     bool    // AbandonRebuffer tripped
+	ts       float64 // the controller's Ts for chunk 0
+}
+
+// NewSession validates cfg and starts a session at chunk 0 with an empty
+// buffer.
+func NewSession(m *model.Manifest, ctrl abr.Controller, pred predictor.Predictor, cfg Config) (Session, error) {
 	if cfg.BufferMax <= 0 {
-		return nil, fmt.Errorf("sim: BufferMax must be positive, got %v", cfg.BufferMax)
+		return Session{}, fmt.Errorf("sim: BufferMax must be positive, got %v", cfg.BufferMax)
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 1
-	}
-	res := &model.SessionResult{
-		Algorithm: ctrl.Name(),
-		Chunks:    make([]model.ChunkRecord, 0, m.ChunkCount),
 	}
 	chunks := m.ChunkCount
 	if cfg.MaxChunks > 0 && cfg.MaxChunks < chunks {
 		chunks = cfg.MaxChunks
 	}
-	var (
-		buffer   float64 // B_k
-		prev     = -1
-		rebufTot float64 // cumulative stall, drives AbandonRebuffer
-	)
-	for k := 0; k < chunks; k++ {
-		t := link.Now()
-		dec, predicted, solverWall := Decide(m.Ladder, ctrl, pred, cfg.Horizon, abr.State{
-			Chunk:   k,
-			Buffer:  buffer,
-			Prev:    prev,
-			Time:    t,
-			Startup: k == 0 && cfg.Startup == StartupController,
-		})
-		res.Chunks = append(res.Chunks, model.ChunkRecord{Index: k, Level: dec.Level})
-		c := &res.Chunks[k]
-		if err := link.Fetch(c); err != nil {
-			return nil, err
-		}
-		dl := c.DownloadTime
-
-		if k == 0 {
-			// Establish B1 = Ts per the chosen policy.
-			switch cfg.Startup {
-			case StartupFirstChunk:
-				res.StartupDelay = dl
-			case StartupController:
-				// Playback cannot begin before the first chunk exists, so
-				// the controller's Ts is floored at the realized download
-				// time: pre-playback waiting is startup delay, not stall.
-				res.StartupDelay = math.Max(dec.Startup, dl)
-			case StartupFixed:
-				res.StartupDelay = math.Max(0, cfg.FixedStartup)
-			}
-			buffer = res.StartupDelay
-		}
-
-		rebuffer := max(dl-buffer, 0)
-		afterDrain := max(buffer-dl, 0) + m.ChunkDuration // (B_k − d/C)+ + L
-		wait := max(afterDrain-cfg.BufferMax, 0)          // Δt_k, Eq. (4)
-		next := afterDrain - wait                         // B_{k+1}, Eq. (3)
-
-		c.Bitrate = m.Ladder[c.Level]
-		c.StartTime = t
-		c.Throughput = c.SizeKbits / dl
-		c.BufferBefore = buffer
-		c.BufferAfter = next
-		c.Rebuffer = rebuffer
-		c.Wait = wait
-		c.Predicted = predicted
-		c.DecisionTime = solverWall.Seconds()
-		pred.Observe(c.Throughput)
-		if cfg.Obs.Enabled() {
-			cfg.Obs.Decision(obs.ChunkEvent(res.Algorithm, prev, c, m.Ladder))
-		}
-
-		if err := link.Wait(wait); err != nil {
-			return nil, err
-		}
-		buffer = next
-		prev = c.Level
-
-		rebufTot += rebuffer
-		if cfg.AbandonRebuffer > 0 && rebufTot >= cfg.AbandonRebuffer {
-			break
-		}
-	}
-	return res, nil
+	return Session{
+		m: m, ctrl: ctrl, pred: pred, cfg: cfg, chunks: chunks, prev: -1,
+		res: &model.SessionResult{
+			Algorithm: ctrl.Name(),
+			Chunks:    make([]model.ChunkRecord, 0, m.ChunkCount),
+		},
+	}, nil
 }
 
-// Decide is the decision step at a chunk start, shared by every player
-// loop: it brings a time-aware predictor to st.Time, fills st's forecast
-// and, for predictors that track their error, its lower bound, asks ctrl,
-// and clamps the chosen level to the ladder. It returns the decision, the
-// first-step forecast (0 when there is none) and the wall-clock time ctrl
-// took to decide.
-func Decide(ladder model.Ladder, ctrl abr.Controller, pred predictor.Predictor, horizon int, st abr.State) (abr.Decision, float64, time.Duration) {
-	if ta, ok := pred.(predictor.TimeAware); ok {
-		ta.SetTime(st.Time)
+// Next decides the next chunk at session time t and returns its record,
+// with Index, Level, StartTime, Predicted and DecisionTime set. It brings
+// a time-aware predictor to t, fills the state's forecast and, for
+// predictors that track their error, its lower bound, asks the controller
+// and clamps the chosen level to the ladder. It returns nil once the
+// session has ended: every chunk played, MaxChunks reached or
+// AbandonRebuffer tripped.
+func (s *Session) Next(t float64) *model.ChunkRecord {
+	k := len(s.res.Chunks)
+	if s.over || k >= s.chunks {
+		return nil
 	}
-	st.Forecast = pred.Predict(horizon)
-	if lb, ok := pred.(predictor.LowerBounder); ok {
-		st.Lower = lb.LowerBound(horizon)
+	st := abr.State{
+		Chunk:   k,
+		Buffer:  s.buffer,
+		Prev:    s.prev,
+		Time:    t,
+		Startup: k == 0 && s.cfg.Startup == StartupController,
+	}
+	if ta, ok := s.pred.(predictor.TimeAware); ok {
+		ta.SetTime(t)
+	}
+	st.Forecast = s.pred.Predict(s.cfg.Horizon)
+	if lb, ok := s.pred.(predictor.LowerBounder); ok {
+		st.Lower = lb.LowerBound(s.cfg.Horizon)
 	}
 	decStart := time.Now() //lint:allow nodeterminism solver wall-time measurement for obs only; never feeds the decision
-	dec := ctrl.Decide(st)
+	dec := s.ctrl.Decide(st)
 	solverWall := time.Since(decStart) //lint:allow nodeterminism solver wall-time measurement for obs only; never feeds the decision
-	dec.Level = ladder.Clamp(dec.Level)
-	var predicted float64
+	s.ts = dec.Startup
+	c := model.ChunkRecord{Index: k, Level: s.m.Ladder.Clamp(dec.Level), StartTime: t, DecisionTime: solverWall.Seconds()}
 	if len(st.Forecast) > 0 {
-		predicted = st.Forecast[0]
+		c.Predicted = st.Forecast[0]
 	}
-	return dec, predicted, solverWall
+	s.res.Chunks = append(s.res.Chunks, c)
+	return &s.res.Chunks[k]
 }
+
+// Account completes chunk c, the record Next returned, once the caller has
+// filled in its Level served, SizeKbits and DownloadTime: it establishes
+// the startup delay at chunk 0, applies Eq. (3)/(4), feeds the measured
+// throughput to the predictor and the event to cfg.Obs. It returns the
+// buffer-full wait Δt_k that must pass before the next Next.
+func (s *Session) Account(c *model.ChunkRecord) float64 {
+	m, dl := s.m, c.DownloadTime
+	if c.Index == 0 {
+		// Establish B1 = Ts per the chosen policy.
+		switch s.cfg.Startup {
+		case StartupFirstChunk:
+			s.res.StartupDelay = dl
+		case StartupController:
+			// Playback cannot begin before the first chunk exists, so
+			// the controller's Ts is floored at the realized download
+			// time: pre-playback waiting is startup delay, not stall.
+			s.res.StartupDelay = math.Max(s.ts, dl)
+		case StartupFixed:
+			s.res.StartupDelay = math.Max(0, s.cfg.FixedStartup)
+		}
+		s.buffer = s.res.StartupDelay
+	}
+
+	rebuffer := max(dl-s.buffer, 0)
+	afterDrain := max(s.buffer-dl, 0) + m.ChunkDuration // (B_k − d/C)+ + L
+	wait := max(afterDrain-s.cfg.BufferMax, 0)          // Δt_k, Eq. (4)
+	next := afterDrain - wait                           // B_{k+1}, Eq. (3)
+
+	c.Bitrate = m.Ladder[c.Level]
+	c.Throughput = c.SizeKbits / dl
+	c.BufferBefore = s.buffer
+	c.BufferAfter = next
+	c.Rebuffer = rebuffer
+	c.Wait = wait
+	s.pred.Observe(c.Throughput)
+	if s.cfg.Obs.Enabled() {
+		s.cfg.Obs.Decision(obs.ChunkEvent(s.res.Algorithm, s.prev, c, m.Ladder))
+	}
+
+	s.buffer = next
+	s.prev = c.Level
+	s.rebufTot += rebuffer
+	s.over = s.cfg.AbandonRebuffer > 0 && s.rebufTot >= s.cfg.AbandonRebuffer
+	return wait
+}
+
+// Result returns the session log: every chunk Account has completed.
+func (s *Session) Result() *model.SessionResult { return s.res }

@@ -9,8 +9,8 @@ vet:
 	$(GO) vet ./...
 
 # lint runs mpclint, the project-specific static analyzers enforcing the
-# determinism / float-safety / map-order / stdlib-only / ctx-leak /
-# lock-scope / HTTP-contract invariants, plus the //mpc:noalloc check
+# determinism / float-safety / ctx-leak / lock-scope invariants that no
+# test can hold, plus the //mpc:noalloc check
 # against the compiler's escape analysis (go build -gcflags=-m): an
 # escape or heap-move site inside an annotated function is a finding
 # (DESIGN.md §4e, §4h). Non-zero exit on any finding.

@@ -1,7 +1,7 @@
 // Command mpclint runs the repo's project-specific static analyzers: the
-// determinism, float-safety, map-order, stdlib-only, goroutine-leak,
-// lock-scope and HTTP-contract invariants the paper reproduction depends
-// on (DESIGN.md §4e, §4h). When the loaded packages carry //mpc:noalloc
+// determinism, float-safety, goroutine-leak and lock-scope invariants the
+// paper reproduction depends on and no test can hold (DESIGN.md §4e,
+// §4h). When the loaded packages carry //mpc:noalloc
 // annotations, the same run reconciles them against `go build
 // -gcflags=-m` escape analysis (check "alloccheck").
 //

@@ -2,16 +2,21 @@ package abrsvc
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mpcdash/internal/abr"
 	"mpcdash/internal/fastmpc"
+	"mpcdash/internal/httpstrict"
 	"mpcdash/internal/model"
 	"mpcdash/internal/obs"
 	"mpcdash/internal/predictor"
@@ -21,14 +26,16 @@ import (
 
 // startTestService spins up a service on an httptest server and returns a
 // typed client for it. The table registry is private per test so builds
-// and stats never leak across tests.
+// and stats never leak across tests, and the handler runs behind
+// httpstrict, so a WriteHeader after the response is committed fails the
+// test.
 func startTestService(t *testing.T, cfg Config) (*Service, *Client) {
 	t.Helper()
 	if cfg.Tables == nil {
 		cfg.Tables = fastmpc.NewRegistry()
 	}
 	svc := New(cfg)
-	hs := httptest.NewServer(svc.Handler())
+	hs := httptest.NewServer(httpstrict.Middleware(t)(svc.Handler()))
 	t.Cleanup(hs.Close)
 	c := NewClient(hs.URL)
 	t.Cleanup(c.CloseIdle)
@@ -133,6 +140,34 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if err := c.Delete(ctx, reg.Session); !errors.As(err, &apiErr) || apiErr.Status != 404 {
 		t.Fatalf("double delete: got %v, want 404", err)
+	}
+}
+
+// TestHealthz pins the health probe: 200 "ok" while serving, 503 once the
+// service is draining.
+func TestHealthz(t *testing.T) {
+	svc, c := startTestService(t, Config{})
+	for _, tc := range []struct {
+		draining bool
+		status   int
+		body     string
+	}{
+		{false, http.StatusOK, "ok\n"},
+		{true, http.StatusServiceUnavailable, "draining\n"},
+	} {
+		svc.draining.Store(tc.draining)
+		resp, err := http.Get(c.base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status || string(body) != tc.body {
+			t.Errorf("draining=%v: %d %q, want %d %q", tc.draining, resp.StatusCode, body, tc.status, tc.body)
+		}
 	}
 }
 
@@ -442,8 +477,7 @@ func TestOverloadShedding(t *testing.T) {
 		QueueDepth:  1,
 		QueueWait:   150 * time.Millisecond,
 	})
-	hold := make(chan struct{})
-	svc.testDecideHold = hold
+	release := holdDecides(t, svc)
 	ctx := context.Background()
 	ack, err := c.Register(ctx, SessionRequest{})
 	if err != nil {
@@ -503,7 +537,7 @@ func TestOverloadShedding(t *testing.T) {
 		return svc.Registry().Snapshot()[MetricQueued] == float64(0)
 	})
 
-	close(hold) // release A
+	release() // A
 	if err := <-aDone; err != nil {
 		t.Fatalf("held request failed: %v", err)
 	}
@@ -518,6 +552,19 @@ func TestOverloadShedding(t *testing.T) {
 	// Nothing left behind: transports idle, no handler goroutines pinned.
 	c.CloseIdle()
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= base+3 })
+}
+
+// holdDecides parks every decide request after admission until release is
+// called. release is idempotent and also runs as a cleanup registered after
+// startTestService's, so it runs first (cleanups run last in, first out):
+// a test that fails with a request parked fails at once instead of hanging
+// in the server's Close until the go test timeout.
+func holdDecides(t *testing.T, svc *Service) (release func()) {
+	hold := make(chan struct{})
+	svc.testDecideHold = hold
+	release = sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	return release
 }
 
 // waitFor polls cond for up to 5 s; the enclosing test fails if it never
@@ -539,8 +586,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // it has.
 func TestGracefulDrain(t *testing.T) {
 	svc := New(Config{Tables: fastmpc.NewRegistry()})
-	hold := make(chan struct{})
-	svc.testDecideHold = hold
+	release := holdDecides(t, svc)
 	srv, err := svc.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -575,7 +621,7 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 
-	close(hold)
+	release()
 	if err := <-decideDone; err != nil {
 		t.Fatalf("in-flight decide failed across Shutdown: %v", err)
 	}
@@ -635,6 +681,49 @@ func TestFairnessShare(t *testing.T) {
 	}
 	if db2.FairShareKbps != 0 {
 		t.Errorf("sole group member capped at %v, want uncapped", db2.FairShareKbps)
+	}
+}
+
+// TestDecideHostileSamples pins decide totality on extreme throughput
+// samples over the real HTTP path. No JSON body can carry NaN or ±Inf:
+// encoding/json rejects an overflowing literal such as 1e999, so the
+// request is a 400. The smallest subnormal and the largest finite double
+// are accepted, for plain and robust sessions and on a second chunk that
+// scores the first forecast, and decide the lowest level with no usable
+// forecast.
+func TestDecideHostileSamples(t *testing.T) {
+	_, c := startTestService(t, Config{})
+	ctx := context.Background()
+	decide := func(session string, chunk int, sample string) (int, DecideResponse, error) {
+		body := fmt.Sprintf(`{"session":%q,"chunk":%d,"prev_level":-1,"throughput_samples":[%s]}`, session, chunk, sample)
+		resp, err := http.Post(c.base+"/v1/decide", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var dec DecideResponse
+		return resp.StatusCode, dec, json.NewDecoder(resp.Body).Decode(&dec)
+	}
+	for _, robust := range []bool{false, true} {
+		for _, sample := range []string{"1e999", "-1e999", "5e-324", "1.7976931348623157e308"} {
+			ack, err := c.Register(ctx, SessionRequest{Config: SessionConfig{Robust: robust}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasSuffix(sample, "e999") {
+				if status, _, _ := decide(ack.Session, 0, sample); status != http.StatusBadRequest {
+					t.Errorf("robust=%v sample %s: status %d, want 400", robust, sample, status)
+				}
+				continue
+			}
+			for chunk := 0; chunk < 2; chunk++ {
+				status, dec, err := decide(ack.Session, chunk, sample)
+				if status != http.StatusOK || err != nil || dec.Level != 0 || dec.PredictedKbps != 0 || dec.LowerKbps != 0 {
+					t.Errorf("robust=%v sample %s chunk %d: status %d, %+v (decode err %v); want 200, level 0, no forecast",
+						robust, sample, chunk, status, dec, err)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package abrsvc
 
 import (
+	"math"
 	"sync"
 
 	"mpcdash/internal/fastmpc"
@@ -64,13 +65,17 @@ func (ss *session) decide(req *DecideRequest, share float64) DecideResponse {
 			ss.pred.Observe(v)
 		}
 	}
+	// A forecast that is not finite counts as unknown (0). JSON carries no
+	// ±Inf or NaN, but finite samples can still produce one: the harmonic
+	// mean of 1.7976931348623157e308 overflows to +Inf through its
+	// reciprocals, and the encoder would then fail on the response.
 	var predicted, lower float64
-	if forecast := ss.pred.Predict(ss.horizon); len(forecast) > 0 {
+	if forecast := ss.pred.Predict(ss.horizon); len(forecast) > 0 && forecast[0] < math.Inf(1) {
 		predicted = forecast[0]
 	}
 	// The lower bound costs a second forecast; only robust sessions use it.
 	if ss.ctrl.Robust {
-		if lb := ss.pred.LowerBound(ss.horizon); len(lb) > 0 {
+		if lb := ss.pred.LowerBound(ss.horizon); len(lb) > 0 && lb[0] < math.Inf(1) {
 			lower = lb[0]
 		}
 	}

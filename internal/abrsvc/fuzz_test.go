@@ -2,6 +2,7 @@ package abrsvc
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"path/filepath"
@@ -97,12 +98,15 @@ func decideRequestSeeds() [][]byte {
 		[]byte(`{"throughput_samples":[null]}`),
 		[]byte(`{"session":"fuzz","extra":true}`), // DisallowUnknownFields
 		[]byte(`[]`),
+		// Finite, but its harmonic mean overflows to +Inf.
+		[]byte(`{"session":"fuzz","chunk":2,"prev_level":0,"throughput_samples":[1.7976931348623157e308]}`),
 	}
 }
 
 // FuzzDecideRequestJSON drives the decide decode path and the controller
 // step behind it on arbitrary bodies: whatever JSON decodes, the decision
-// must stay inside the session's ladder and quote the matching bitrate.
+// must stay inside the session's ladder, quote the matching bitrate and
+// encode as JSON.
 func FuzzDecideRequestJSON(f *testing.F) {
 	for _, s := range decideRequestSeeds() {
 		f.Add(s)
@@ -125,6 +129,9 @@ func FuzzDecideRequestJSON(f *testing.F) {
 			}
 			if resp.Chunk != req.Chunk || resp.Session != "fuzz" {
 				t.Fatalf("decide echoed wrong identity: %+v", resp)
+			}
+			if _, err := json.Marshal(resp); err != nil {
+				t.Fatalf("decide response cannot be encoded: %v", err)
 			}
 		}
 		if s := lastSample(req.ThroughputSamples); s < 0 || math.IsNaN(s) {

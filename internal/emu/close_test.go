@@ -22,7 +22,7 @@ func TestInFlightDownloadCompletesAcrossClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m)
+	srv := newTestServer(t, m)
 	base, err := srv.Start(NewShaper(tr))
 	if err != nil {
 		t.Fatal(err)

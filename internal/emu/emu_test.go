@@ -13,12 +13,27 @@ import (
 
 	"mpcdash/internal/abr"
 	"mpcdash/internal/core"
+	"mpcdash/internal/httpstrict"
 	"mpcdash/internal/model"
 	"mpcdash/internal/mpd"
 	"mpcdash/internal/predictor"
 	"mpcdash/internal/sim"
 	"mpcdash/internal/trace"
 )
+
+// newTestServer is NewServer with the non-nil wraps applied in order and
+// httpstrict outermost, so a WriteHeader after the response is committed,
+// in a handler or a middleware, fails t.
+func newTestServer(t *testing.T, m *model.Manifest, wraps ...func(http.Handler) http.Handler) *Server {
+	srv := NewServer(m)
+	for _, w := range wraps {
+		if w != nil {
+			srv.Wrap(w)
+		}
+	}
+	srv.Wrap(httpstrict.Middleware(t))
+	return srv
+}
 
 // testVideo is a short manifest so emulation tests finish in seconds.
 func testVideo(t *testing.T, chunks int) *model.Manifest {
@@ -33,7 +48,7 @@ func testVideo(t *testing.T, chunks int) *model.Manifest {
 // session runs one end-to-end emulated playback at the given time scale.
 func session(t *testing.T, m *model.Manifest, tr *trace.Trace, scale float64, factory abr.Factory, pred predictor.Predictor) *model.SessionResult {
 	t.Helper()
-	srv := NewServer(m)
+	srv := newTestServer(t, m)
 	base, err := srv.Start(NewShaper(tr.Scale(scale, scale)))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +183,7 @@ func TestEmulationMatchesSimulator(t *testing.T) {
 
 func TestServerRejectsBadPaths(t *testing.T) {
 	m := testVideo(t, 4)
-	srv := NewServer(m)
+	srv := newTestServer(t, m)
 	tr, err := trace.FromRates("fast", 60, []float64{100000})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +220,7 @@ func TestRunWithController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m)
+	srv := newTestServer(t, m)
 	base, err := srv.Start(NewShaper(tr.Scale(10, 10)))
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +250,7 @@ func TestClientCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m)
+	srv := newTestServer(t, m)
 	base, err := srv.Start(NewShaper(tr))
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +278,7 @@ func TestFaultInjectionRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m)
+	srv := newTestServer(t, m)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +315,7 @@ func TestFaultLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(latency time.Duration) float64 {
-		srv := NewServer(m)
+		srv := newTestServer(t, m)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -350,10 +365,7 @@ func isChunkRequest(r *http.Request) bool {
 // in fault injection, returning the result or error.
 func faultySession(t *testing.T, m *model.Manifest, tr *trace.Trace, scale float64, cfg FaultConfig, tweak func(*Client), wrap func(http.Handler) http.Handler) (*model.SessionResult, error) {
 	t.Helper()
-	srv := NewServer(m)
-	if wrap != nil {
-		srv.Wrap(wrap)
-	}
+	srv := newTestServer(t, m, wrap)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -466,9 +478,8 @@ func TestFlaky5xxRetriedWithBackoff(t *testing.T) {
 // Test404FailsFast: a permanent error must not burn the retry budget.
 func Test404FailsFast(t *testing.T) {
 	m := testVideo(t, 3)
-	srv := NewServer(m)
 	var requests atomic.Int64
-	srv.Wrap(CountRequests(&requests, isChunkRequest))
+	srv := newTestServer(t, m, CountRequests(&requests, isChunkRequest))
 	tr, err := trace.FromRates("p", 60, []float64{50000})
 	if err != nil {
 		t.Fatal(err)
@@ -586,7 +597,7 @@ func TestBufferFullWaitCancellable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m)
+	srv := newTestServer(t, m)
 	base, err := srv.Start(NewShaper(tr))
 	if err != nil {
 		t.Fatal(err)
@@ -617,7 +628,7 @@ func TestBufferFullWaitCancellable(t *testing.T) {
 // rejects unsatisfiable offsets.
 func TestServerRangeRequests(t *testing.T) {
 	m := testVideo(t, 3)
-	srv := NewServer(m)
+	srv := newTestServer(t, m)
 	tr, err := trace.FromRates("r", 60, []float64{100000})
 	if err != nil {
 		t.Fatal(err)

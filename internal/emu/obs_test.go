@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mpcdash/internal/abr"
+	"mpcdash/internal/httpstrict"
 	"mpcdash/internal/obs"
 	"mpcdash/internal/predictor"
 	"mpcdash/internal/sim"
@@ -143,6 +144,7 @@ func TestServerInstrumented(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := NewServer(m)
 	srv.Instrument(reg)
+	srv.Wrap(httpstrict.Middleware(t))
 	base, err := srv.Start(NewShaper(tr.Scale(10, 10)))
 	if err != nil {
 		t.Fatal(err)

@@ -130,15 +130,20 @@ func TestFixtures(t *testing.T) {
 	})
 }
 
-// TestDirectiveDiagnostics checks that malformed //lint:allow directives
-// are themselves reported, and well-formed ones are not.
+// TestDirectiveDiagnostics checks that malformed //lint:allow directives,
+// and well-formed ones that suppress nothing, are themselves reported, and
+// that a live directive is not.
 func TestDirectiveDiagnostics(t *testing.T) {
 	pkgs := loadFixture(t, "lintdirective")
-	diags := Run(pkgs, nil) // directives are validated regardless of analyzer set
+	if diags := Run(pkgs, nil); len(diags) != 3 {
+		t.Errorf("with no analyzer run, only the 3 malformed directives are findings; got %v", diags)
+	}
+	diags := Run(pkgs, Analyzers())
 	want := map[int]string{
-		3: "needs a one-line reason",
-		6: `unknown check "madeupcheck"`,
-		9: "needs a check name and a reason",
+		3:  "needs a one-line reason",
+		6:  `unknown check "madeupcheck"`,
+		9:  "needs a check name and a reason",
+		12: "floateq suppresses nothing",
 	}
 	for _, d := range diags {
 		if d.Check != "lintdirective" {

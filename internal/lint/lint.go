@@ -1,15 +1,12 @@
 // Package lint is mpcdash's project-specific static-analysis suite. It
 // enforces, at compile time, the invariants the paper reproduction depends
-// on at run time: deterministic packages stay wall-clock- and
-// global-rand-free (nodeterminism), QoE/bitrate arithmetic never relies on
-// exact float equality (floateq), byte-identical report/export emitters
-// never iterate maps in hash order (maporder), the dependency policy stays
-// stdlib-only (stdlibonly), orchestration goroutines keep a cancellation
-// path (ctxleak), mutex critical sections never block or leak
-// (lockscope), and HTTP handlers honor the service-layer
-// response/context/metric-name contracts (httpcontract). Check adds the
-// compiler-side contract: //mpc:noalloc functions contain no site that
-// gc's escape analysis heap-allocates (alloccheck).
+// on at run time and that no test can hold: deterministic packages stay
+// wall-clock- and global-rand-free (nodeterminism), QoE/bitrate arithmetic
+// never relies on exact float equality (floateq), orchestration goroutines
+// keep a cancellation path (ctxleak), and mutex critical sections never
+// block or leak (lockscope). Check adds the compiler-side contract:
+// //mpc:noalloc functions contain no site that gc's escape analysis
+// heap-allocates (alloccheck).
 //
 // Findings are suppressed with a directive comment carrying a reason:
 //
@@ -17,9 +14,9 @@
 //
 // A directive suppresses matching findings on its own line and on the line
 // directly below it, so it can trail the offending statement or sit on the
-// preceding line. Directives without a reason, or naming an unknown check,
-// are themselves reported (check "lintdirective") so suppressions stay
-// auditable.
+// preceding line. Directives without a reason, naming an unknown check, or
+// suppressing nothing when their check ran are themselves reported (check
+// "lintdirective") so suppressions stay auditable and none goes stale.
 package lint
 
 import (
@@ -70,7 +67,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NoDeterminism, FloatEq, MapOrder, StdlibOnly, CtxLeak, LockScope, HTTPContract}
+	return []*Analyzer{NoDeterminism, FloatEq, CtxLeak, LockScope}
 }
 
 // Check is the default mpclint run: every analyzer over pkgs plus, when
@@ -104,12 +101,12 @@ type allowKey struct {
 
 const allowPrefix = "lint:allow"
 
-// collectAllows scans a package's non-test files for //lint:allow
-// directives; test files are parsed imports-only and never linted beyond
-// stdlibonly, so directives there are not read. Malformed directives (missing reason, unknown check) are reported as
-// "lintdirective" findings so the suppression inventory stays honest.
-func collectAllows(pkg *Package, out *[]Diagnostic) map[allowKey]bool {
-	allows := map[allowKey]bool{}
+// collectAllows scans a package's files for well-formed //lint:allow
+// directives, mapping each to its column. Malformed directives (missing
+// reason, unknown check) are reported as "lintdirective" findings so the
+// suppression inventory stays honest.
+func collectAllows(pkg *Package, out *[]Diagnostic) map[allowKey]int {
+	allows := map[allowKey]int{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -135,7 +132,7 @@ func collectAllows(pkg *Package, out *[]Diagnostic) map[allowKey]bool {
 				case strings.TrimSpace(reason) == "":
 					report("//lint:allow %s needs a one-line reason", check)
 				default:
-					allows[allowKey{pos.Filename, pos.Line, check}] = true
+					allows[allowKey{pos.Filename, pos.Line, check}] = pos.Column
 				}
 			}
 		}
@@ -144,22 +141,40 @@ func collectAllows(pkg *Package, out *[]Diagnostic) map[allowKey]bool {
 }
 
 // Run applies analyzers to pkgs, filters suppressed findings, and returns
-// the remainder sorted by position for deterministic output.
+// the remainder sorted by position for deterministic output. A directive
+// whose check ran but which suppressed nothing is reported as stale.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		var raw []Diagnostic
 		allows := collectAllows(pkg, &diags)
+		ran := map[string]bool{}
 		for _, a := range analyzers {
+			ran[a.Name] = true
 			a.Run(&Pass{Pkg: pkg, check: a.Name, out: &raw})
 		}
+		used := map[allowKey]bool{}
 		for _, d := range raw {
 			// A directive suppresses its own line (trailing comment) and the
 			// line below it (directive on the preceding line).
-			if allows[allowKey{d.File, d.Line, d.Check}] || allows[allowKey{d.File, d.Line - 1, d.Check}] {
+			k := allowKey{d.File, d.Line, d.Check}
+			if _, ok := allows[k]; !ok {
+				k.line--
+			}
+			if _, ok := allows[k]; ok {
+				used[k] = true
 				continue
 			}
 			diags = append(diags, d)
+		}
+		for k, col := range allows {
+			if ran[k.check] && !used[k] {
+				diags = append(diags, Diagnostic{
+					File: k.file, Line: k.line, Col: col,
+					Check:   "lintdirective",
+					Message: fmt.Sprintf("//lint:allow %s suppresses nothing; delete it", k.check),
+				})
+			}
 		}
 	}
 	sortDiagnostics(diags)

@@ -18,16 +18,13 @@ import (
 )
 
 // Package is one type-checked module package plus the syntax the analyzers
-// need: full ASTs for non-test files and import-only ASTs for test files
-// (so stdlibonly can audit test imports without type-checking test code).
+// need: full ASTs for its non-test files. Test files are not loaded.
 type Package struct {
 	Path       string // import path, e.g. "mpcdash/internal/core"
 	Name       string // package name
 	Dir        string // absolute directory
-	ModulePath string // module root import path, e.g. "mpcdash"
 	Fset       *token.FileSet
 	Files      []*ast.File // non-test files, full parse with comments
-	TestFiles  []*ast.File // *_test.go files, imports-only parse with comments
 	Types      *types.Package
 	Info       *types.Info
 	TypeErrors []error // collected, tolerated: analyses are best-effort on broken code
@@ -96,10 +93,9 @@ func Load(cfg LoadConfig) ([]*Package, error) {
 }
 
 type rawPkg struct {
-	dir       string
-	name      string
-	files     []*ast.File
-	testFiles []*ast.File
+	dir   string
+	name  string
+	files []*ast.File
 }
 
 type loader struct {
@@ -205,22 +201,14 @@ func (l *loader) parse(importPath, dir string) (*rawPkg, error) {
 	r := &rawPkg{dir: dir}
 	var names []string
 	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
 		names = append(names, e.Name())
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		full := filepath.Join(dir, name)
-		if strings.HasSuffix(name, "_test.go") {
-			f, err := parser.ParseFile(l.fset, full, nil, parser.ImportsOnly|parser.ParseComments)
-			if err == nil {
-				r.testFiles = append(r.testFiles, f)
-			}
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %s: %w", importPath, err)
 		}
@@ -290,8 +278,8 @@ func (l *loader) importExternals() error {
 					continue
 				}
 				// Only stdlib-shaped paths (no dot in the first segment) can
-				// resolve: anything else is a policy violation that stdlibonly
-				// reports and the type checker tolerates as an import error.
+				// resolve: go.mod requires nothing, so anything else is a
+				// build error the type checker tolerates as an import error.
 				if first, _, _ := strings.Cut(p, "/"); !strings.Contains(first, ".") {
 					ext[p] = true
 				}
@@ -363,9 +351,8 @@ func (l *loader) check(importPath string) *Package {
 		return p
 	}
 	pkg := &Package{
-		Path:       importPath,
-		ModulePath: l.module,
-		Fset:       l.fset,
+		Path: importPath,
+		Fset: l.fset,
 	}
 	if l.busy[importPath] {
 		pkg.TypeErrors = append(pkg.TypeErrors, fmt.Errorf("import cycle through %q", importPath))
@@ -389,7 +376,6 @@ func (l *loader) check(importPath string) *Package {
 	pkg.Dir = r.dir
 	pkg.Name = r.name
 	pkg.Files = r.files
-	pkg.TestFiles = r.testFiles
 	pkg.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},

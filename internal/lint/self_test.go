@@ -2,6 +2,7 @@ package lint
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,13 +33,14 @@ func moduleRoot(t *testing.T) (dir, module string) {
 	}
 }
 
-// TestRepoLintClean self-applies the full analyzer suite to the real
+// TestRepoLintClean self-applies the default mpclint run (lint.Check: every
+// analyzer plus the //mpc:noalloc escape reconciliation) to the real
 // module source in-process and requires zero unsuppressed findings. It
 // puts the lint gate inside tier-1: `go test ./...` alone catches a lint
 // regression even when `make lint` is never run.
 func TestRepoLintClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("type-checks the whole module")
+		t.Skip("type-checks the whole module and runs go build -gcflags=-m")
 	}
 	root, module := moduleRoot(t)
 	pkgs, err := Load(LoadConfig{Dir: root, ModulePath: module})
@@ -48,12 +50,45 @@ func TestRepoLintClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("load module: no packages")
 	}
-	diags := Run(pkgs, Analyzers())
+	diags, err := Check(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range diags {
 		t.Errorf("unsuppressed finding: %s", d)
 	}
 	if len(diags) > 0 {
 		t.Logf("fix the findings or annotate intentional ones with //lint:allow <check> <reason>")
+	}
+}
+
+// TestModuleStdlibOnly holds the no-dependency policy: go.mod requires no
+// module, so any non-stdlib import fails go build, and no package uses cgo,
+// which would tie results to the host C toolchain.
+func TestModuleStdlibOnly(t *testing.T) {
+	root, _ := moduleRoot(t)
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(mod), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "require" {
+			t.Errorf("go.mod:%d: %q; the module is dependency-free", i+1, line)
+		}
+	}
+	cmd := exec.Command("go", "list", "-f", "{{.ImportPath}} {{.CgoFiles}}", "./...")
+	cmd.Dir = root
+	// With cgo disabled (the default without a C compiler) go list files
+	// cgo sources under IgnoredGoFiles; enabled, it reports them.
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if !strings.HasSuffix(line, " []") {
+			t.Errorf("cgo files in %s; the module must build without a C toolchain", line)
+		}
 	}
 }
 

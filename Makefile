@@ -39,12 +39,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# verify is the full pre-merge gate: build, vet, lint (including the
-# escape-analysis reconciliation), and the whole test suite under the race
-# detector.
+# verify is the full pre-merge gate: build, vet (of the root module and of
+# perfbench, its own module that the root's ./... never compiles), lint
+# (including the escape-analysis reconciliation), and the whole test suite
+# under the race detector.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) run ./cmd/mpclint ./...
 	$(GO) test -race ./...
 

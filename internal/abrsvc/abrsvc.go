@@ -57,10 +57,9 @@ type Config struct {
 	// MaxSessions caps resident sessions; registrations beyond it are
 	// rejected with 503. 0 selects 65536.
 	MaxSessions int
-	// SessionTTL evicts sessions idle longer than this. 0 selects 5 min.
+	// SessionTTL evicts sessions idle longer than this, swept every
+	// SessionTTL/4. 0 selects 5 min.
 	SessionTTL time.Duration
-	// EvictEvery is the eviction sweep period. 0 selects SessionTTL/4.
-	EvictEvery time.Duration
 	// Shards is the session-store stripe count. 0 selects 16.
 	Shards int
 
@@ -99,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 5 * time.Minute
-	}
-	if c.EvictEvery <= 0 {
-		c.EvictEvery = c.SessionTTL / 4
 	}
 	if c.Shards <= 0 {
 		c.Shards = 16

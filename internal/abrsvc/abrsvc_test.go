@@ -746,7 +746,7 @@ func TestDecisionEventsReachSink(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("sink saw %d events, want 2 (replays are not decisions)", len(evs))
 	}
-	if evs[0].Algorithm != "FastMPC" || evs[0].Chunk != 0 || evs[1].Chunk != 1 {
+	if evs[0].Algorithm != "FastMPC" || evs[0].Index != 0 || evs[1].Index != 1 {
 		t.Errorf("unexpected event stream: %+v", evs)
 	}
 }

@@ -95,10 +95,10 @@ func (s *Service) Registry() *obs.Registry { return s.cfg.Registry }
 // Sessions reports the resident session count.
 func (s *Service) Sessions() int { return s.store.len() }
 
-// Janitor evicts idle sessions every Config.EvictEvery until ctx is
-// cancelled. Run it in its own goroutine alongside the HTTP server.
+// Janitor evicts idle sessions every quarter of Config.SessionTTL until
+// ctx is cancelled. Run it in its own goroutine alongside the HTTP server.
 func (s *Service) Janitor(ctx context.Context) {
-	t := time.NewTicker(s.cfg.EvictEvery)
+	t := time.NewTicker(s.cfg.SessionTTL / 4)
 	defer t.Stop()
 	for {
 		select {
@@ -245,15 +245,17 @@ func (s *Service) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Sink.Decision(obs.DecisionEvent{
 			Algorithm:  alg,
 			Session:    seq,
-			Chunk:      req.Chunk,
-			Buffer:     req.Buffer,
 			Prev:       req.PrevLevel,
-			Predicted:  resp.PredictedKbps,
 			Candidates: ss.ladder,
-			Level:      resp.Level,
-			Bitrate:    resp.BitrateKbps,
-			SolverWall: decideDur,
-			Actual:     lastSample(req.ThroughputSamples),
+			ChunkRecord: model.ChunkRecord{
+				Index:        req.Chunk,
+				Level:        resp.Level,
+				Bitrate:      resp.BitrateKbps,
+				BufferBefore: req.Buffer,
+				Predicted:    resp.PredictedKbps,
+				DecisionTime: decideDur.Seconds(),
+				Throughput:   lastSample(req.ThroughputSamples),
+			},
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

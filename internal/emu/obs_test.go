@@ -3,6 +3,7 @@ package emu
 import (
 	"context"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -49,14 +50,10 @@ func TestClientEmitsDecisionEvents(t *testing.T) {
 		t.Fatalf("events = %d, chunks = %d", len(sink.events), len(res.Chunks))
 	}
 	for i, ev := range sink.events {
-		c := res.Chunks[i]
-		if ev.Chunk != c.Index || ev.Level != c.Level || ev.Bitrate != c.Bitrate {
-			t.Errorf("event %d (%+v) disagrees with chunk record (%+v)", i, ev, c)
+		if !reflect.DeepEqual(ev.ChunkRecord, res.Chunks[i]) {
+			t.Errorf("event %d record (%+v) differs from the chunk record (%+v)", i, ev.ChunkRecord, res.Chunks[i])
 		}
-		if ev.DownloadDur != c.DownloadTime || ev.Actual != c.Throughput {
-			t.Errorf("event %d download outcome differs from chunk record", i)
-		}
-		if ev.SolverWall <= 0 {
+		if ev.DecisionTime <= 0 {
 			t.Errorf("event %d has no solver wall time", i)
 		}
 		if len(ev.Candidates) != len(m.Ladder) {

@@ -15,120 +15,31 @@ import (
 	"mpcdash/internal/model"
 )
 
-// SessionJSON is the stable JSON shape of one session.
+// SessionJSON is the stable JSON shape of one session. Its metrics and
+// chunks are the model's own records, whose json tags are the schema.
 type SessionJSON struct {
-	Algorithm    string      `json:"algorithm"`
-	StartupDelay float64     `json:"startup_delay_s"`
-	QoE          float64     `json:"qoe"`
-	Metrics      MetricsJSON `json:"metrics"`
-	Chunks       []ChunkJSON `json:"chunks"`
-}
-
-// MetricsJSON mirrors model.Metrics.
-type MetricsJSON struct {
-	AvgBitrate       float64 `json:"avg_bitrate_kbps"`
-	AvgBitrateChange float64 `json:"avg_bitrate_change_kbps"`
-	Switches         int     `json:"switches"`
-	RebufferTime     float64 `json:"rebuffer_s"`
-	RebufferEvents   int     `json:"rebuffer_events"`
-	StartupDelay     float64 `json:"startup_delay_s"`
-	Retries          int     `json:"retries"`
-	Resumes          int     `json:"resumes"`
-	Fallbacks        int     `json:"fallbacks"`
-}
-
-// ChunkJSON mirrors model.ChunkRecord.
-type ChunkJSON struct {
-	Index        int     `json:"index"`
-	Level        int     `json:"level"`
-	Bitrate      float64 `json:"bitrate_kbps"`
-	SizeKbits    float64 `json:"size_kbits"`
-	StartTime    float64 `json:"start_s"`
-	DownloadTime float64 `json:"download_s"`
-	Throughput   float64 `json:"throughput_kbps"`
-	BufferBefore float64 `json:"buffer_before_s"`
-	BufferAfter  float64 `json:"buffer_after_s"`
-	Rebuffer     float64 `json:"rebuffer_s"`
-	Wait         float64 `json:"wait_s"`
-	Predicted    float64 `json:"predicted_kbps"`
-	DecisionTime float64 `json:"decision_s,omitempty"`
-	Retries      int     `json:"retries,omitempty"`
-	Resumes      int     `json:"resumes,omitempty"`
-	Fallback     bool    `json:"fallback,omitempty"`
-
-	// Attempts is the per-attempt transport timing recorded by the
-	// emulated client's download engine; empty for simulator sessions.
-	Attempts []AttemptJSON `json:"attempts,omitempty"`
-}
-
-// AttemptJSON mirrors model.AttemptRecord.
-type AttemptJSON struct {
-	Start    float64 `json:"start_s"`
-	Duration float64 `json:"duration_s"`
-	Backoff  float64 `json:"backoff_s,omitempty"`
-	Level    int     `json:"level"`
-	Resumed  bool    `json:"resumed,omitempty"`
-	Error    string  `json:"error,omitempty"`
-}
-
-// toJSON converts a session under the given QoE configuration.
-func toJSON(res *model.SessionResult, w model.Weights, q model.QualityFunc) SessionJSON {
-	m := res.ComputeMetrics(q)
-	out := SessionJSON{
-		Algorithm:    res.Algorithm,
-		StartupDelay: res.StartupDelay,
-		QoE:          res.QoE(w, q),
-		Metrics: MetricsJSON{
-			AvgBitrate:       m.AvgBitrate,
-			AvgBitrateChange: m.AvgBitrateChange,
-			Switches:         m.Switches,
-			RebufferTime:     m.RebufferTime,
-			RebufferEvents:   m.RebufferEvents,
-			StartupDelay:     m.StartupDelay,
-			Retries:          m.Retries,
-			Resumes:          m.Resumes,
-			Fallbacks:        m.Fallbacks,
-		},
-		Chunks: make([]ChunkJSON, len(res.Chunks)),
-	}
-	for i, c := range res.Chunks {
-		out.Chunks[i] = ChunkJSON{
-			Index:        c.Index,
-			Level:        c.Level,
-			Bitrate:      c.Bitrate,
-			SizeKbits:    c.SizeKbits,
-			StartTime:    c.StartTime,
-			DownloadTime: c.DownloadTime,
-			Throughput:   c.Throughput,
-			BufferBefore: c.BufferBefore,
-			BufferAfter:  c.BufferAfter,
-			Rebuffer:     c.Rebuffer,
-			Wait:         c.Wait,
-			Predicted:    c.Predicted,
-			DecisionTime: c.DecisionTime,
-			Retries:      c.Retries,
-			Resumes:      c.Resumes,
-			Fallback:     c.Fallback,
-		}
-		for _, a := range c.Attempts {
-			out.Chunks[i].Attempts = append(out.Chunks[i].Attempts, AttemptJSON{
-				Start:    a.Start,
-				Duration: a.Duration,
-				Backoff:  a.Backoff,
-				Level:    a.Level,
-				Resumed:  a.Resumed,
-				Error:    a.Error,
-			})
-		}
-	}
-	return out
+	Algorithm    string              `json:"algorithm"`
+	StartupDelay float64             `json:"startup_delay_s"`
+	QoE          float64             `json:"qoe"`
+	Metrics      model.Metrics       `json:"metrics"`
+	Chunks       []model.ChunkRecord `json:"chunks"`
 }
 
 // WriteJSON writes one session as indented JSON.
 func WriteJSON(w io.Writer, res *model.SessionResult, weights model.Weights, q model.QualityFunc) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(toJSON(res, weights, q)); err != nil {
+	out := SessionJSON{
+		Algorithm:    res.Algorithm,
+		StartupDelay: res.StartupDelay,
+		QoE:          res.QoE(weights, q),
+		Metrics:      res.ComputeMetrics(q),
+		Chunks:       res.Chunks,
+	}
+	if out.Chunks == nil {
+		out.Chunks = []model.ChunkRecord{} // "chunks": [], not null
+	}
+	if err := enc.Encode(out); err != nil {
 		return fmt.Errorf("export: json: %w", err)
 	}
 	return nil

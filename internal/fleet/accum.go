@@ -8,14 +8,12 @@ import (
 
 // This file is the streaming-aggregation layer: per-population statistics
 // that stay O(populations) in memory no matter how many sessions a
-// scenario launches. Means and variances use Welford's algorithm (with
-// Chan's parallel-merge formula), quantiles a fixed-bin histogram, and
-// the orderedTally at the bottom makes the floating-point reduction
-// deterministic despite out-of-order worker completion.
+// scenario launches. Means and variances use Welford's algorithm,
+// quantiles a fixed-bin histogram, and the orderedTally at the bottom
+// makes the floating-point reduction deterministic despite out-of-order
+// worker completion by folding sessions in index order.
 
 // Welford accumulates count/mean/M2 (plus exact extremes) in one pass.
-// It is mergeable: two accumulators built from disjoint streams combine
-// into the accumulator of the concatenated stream.
 type Welford struct {
 	N    int64
 	Mean float64
@@ -38,24 +36,6 @@ func (w *Welford) Observe(x float64) {
 	w.M2 += d * (x - w.Mean)
 }
 
-// Merge folds another accumulator in (Chan et al.'s pairwise update).
-func (w *Welford) Merge(o Welford) {
-	if o.N == 0 {
-		return
-	}
-	if w.N == 0 {
-		*w = o
-		return
-	}
-	n := w.N + o.N
-	d := o.Mean - w.Mean
-	w.M2 += o.M2 + d*d*float64(w.N)*float64(o.N)/float64(n)
-	w.Mean += d * float64(o.N) / float64(n)
-	w.N = n
-	w.Min = math.Min(w.Min, o.Min)
-	w.Max = math.Max(w.Max, o.Max)
-}
-
 // Variance returns the population variance (0 for fewer than 2 samples).
 func (w Welford) Variance() float64 {
 	if w.N < 2 {
@@ -69,8 +49,7 @@ func (w Welford) Std() float64 { return math.Sqrt(w.Variance()) }
 
 // Hist is a fixed-bin histogram over [Lo, Hi): Bins equal-width bins plus
 // underflow/overflow tails. Quantile estimates are exact to one bin width
-// for in-range data, and the layout is fixed at construction so two
-// histograms of the same layout merge by bin-wise addition.
+// for in-range data, and the layout is fixed at construction.
 type Hist struct {
 	Lo, Hi float64
 	Bins   []int64
@@ -108,21 +87,6 @@ func (h *Hist) Observe(x float64) {
 }
 
 func (h *Hist) width() float64 { return (h.Hi - h.Lo) / float64(len(h.Bins)) }
-
-// Merge adds another histogram of the identical layout.
-func (h *Hist) Merge(o *Hist) error {
-	if o.Lo != h.Lo || o.Hi != h.Hi || len(o.Bins) != len(h.Bins) { //lint:allow floateq layout bounds are copied config constants; exact match is the merge contract
-		return fmt.Errorf("fleet: merging histograms with different layouts: [%v,%v)/%d vs [%v,%v)/%d",
-			h.Lo, h.Hi, len(h.Bins), o.Lo, o.Hi, len(o.Bins))
-	}
-	for i, c := range o.Bins {
-		h.Bins[i] += c
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	h.N += o.N
-	return nil
-}
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
 // inside the containing bin. Samples in the underflow (overflow) tail are
@@ -191,7 +155,7 @@ type sessionStats struct {
 	abandoned bool    // left early because the abandon-rebuffer policy fired
 }
 
-// Tally is the mergeable per-population aggregate: counters plus
+// Tally is the per-population aggregate: counters plus
 // Welford moments and quantile histograms for the session metrics.
 type Tally struct {
 	Completed int64
@@ -236,26 +200,6 @@ func (t *Tally) observe(s sessionStats) {
 	t.StartupSec.Observe(s.startup)
 	t.QoEHist.Observe(perChunk)
 	t.RebufHist.Observe(s.rebuffer)
-}
-
-// Merge folds another tally in; both must use the same histogram layouts.
-func (t *Tally) Merge(o *Tally) error {
-	if err := t.QoEHist.Merge(o.QoEHist); err != nil {
-		return err
-	}
-	if err := t.RebufHist.Merge(o.RebufHist); err != nil {
-		return err
-	}
-	t.Completed += o.Completed
-	t.Abandoned += o.Abandoned
-	t.Chunks += o.Chunks
-	t.QoE.Merge(o.QoE)
-	t.QoEPerChunk.Merge(o.QoEPerChunk)
-	t.BitrateKbps.Merge(o.BitrateKbps)
-	t.RebufferSec.Merge(o.RebufferSec)
-	t.Switches.Merge(o.Switches)
-	t.StartupSec.Merge(o.StartupSec)
-	return nil
 }
 
 // Clone returns a deep copy.

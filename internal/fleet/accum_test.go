@@ -33,46 +33,6 @@ func TestWelfordMatchesStats(t *testing.T) {
 	}
 }
 
-// Merging two accumulators must equal accumulating the concatenation,
-// and merge order must not matter beyond float tolerance.
-func TestWelfordMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		var a, b, all Welford
-		na, nb := rng.Intn(500), 1+rng.Intn(500)
-		for i := 0; i < na; i++ {
-			x := rng.ExpFloat64() * 100
-			a.Observe(x)
-			all.Observe(x)
-		}
-		for i := 0; i < nb; i++ {
-			x := rng.ExpFloat64() * 100
-			b.Observe(x)
-			all.Observe(x)
-		}
-		ab, ba := a, b
-		ab.Merge(b)
-		ba.Merge(a)
-		for _, m := range []Welford{ab, ba} {
-			if m.N != all.N {
-				t.Fatalf("trial %d: N = %d, want %d", trial, m.N, all.N)
-			}
-			if math.Abs(m.Mean-all.Mean) > 1e-9*math.Max(1, math.Abs(all.Mean)) {
-				t.Fatalf("trial %d: merged mean %v, want %v", trial, m.Mean, all.Mean)
-			}
-			if math.Abs(m.M2-all.M2) > 1e-6*math.Max(1, all.M2) {
-				t.Fatalf("trial %d: merged M2 %v, want %v", trial, m.M2, all.M2)
-			}
-		}
-		if ab.Mean != ba.Mean || ab.N != ba.N {
-			t.Fatalf("trial %d: merge(A,B) != merge(B,A): %+v vs %+v", trial, ab, ba)
-		}
-		if math.Abs(ab.M2-ba.M2) > 1e-9*math.Max(1, ab.M2) {
-			t.Fatalf("trial %d: merge(A,B).M2 %v vs merge(B,A).M2 %v", trial, ab.M2, ba.M2)
-		}
-	}
-}
-
 // Histogram quantiles must be within one bin width of the exact
 // quantiles for in-range data.
 func TestHistQuantileErrorBound(t *testing.T) {
@@ -111,81 +71,6 @@ func TestHistTailClamping(t *testing.T) {
 	}
 	if h.Under != 10 || h.Over != 10 || h.N != 20 {
 		t.Errorf("tails: under=%d over=%d n=%d", h.Under, h.Over, h.N)
-	}
-}
-
-func TestHistMergeCommutes(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a, b := NewHist(-100, 100, 64), NewHist(-100, 100, 64)
-	for i := 0; i < 3000; i++ {
-		a.Observe(rng.NormFloat64() * 40)
-		b.Observe(rng.NormFloat64()*40 + 20)
-	}
-	ab, ba := a.Clone(), b.Clone()
-	if err := ab.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := ba.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if ab.N != ba.N || ab.Under != ba.Under || ab.Over != ba.Over {
-		t.Fatalf("merge totals differ: %+v vs %+v", ab, ba)
-	}
-	for i := range ab.Bins {
-		if ab.Bins[i] != ba.Bins[i] {
-			t.Fatalf("bin %d: %d vs %d", i, ab.Bins[i], ba.Bins[i])
-		}
-	}
-	if q1, q2 := ab.Quantile(0.5), ba.Quantile(0.5); q1 != q2 {
-		t.Fatalf("median after merge: %v vs %v", q1, q2)
-	}
-}
-
-func TestHistMergeRejectsLayoutMismatch(t *testing.T) {
-	a, b := NewHist(0, 1, 10), NewHist(0, 1, 20)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging different layouts should error")
-	}
-}
-
-// Tally merge must equal a single tally over the union of sessions.
-func TestTallyMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	mk := func() sessionStats {
-		return sessionStats{
-			chunks:    1 + rng.Intn(65),
-			qoe:       rng.NormFloat64() * 1e4,
-			bitrate:   300 + rng.Float64()*2700,
-			rebuffer:  rng.ExpFloat64() * 5,
-			switches:  float64(rng.Intn(20)),
-			startup:   rng.Float64() * 3,
-			abandoned: rng.Intn(4) == 0,
-		}
-	}
-	a, b, all := NewTally(), NewTally(), NewTally()
-	var sessions []sessionStats
-	for i := 0; i < 400; i++ {
-		sessions = append(sessions, mk())
-	}
-	for i, s := range sessions {
-		if i < 150 {
-			a.observe(s)
-		} else {
-			b.observe(s)
-		}
-		all.observe(s)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Completed != all.Completed || a.Abandoned != all.Abandoned || a.Chunks != all.Chunks {
-		t.Fatalf("counts: %+v vs %+v", a, all)
-	}
-	if math.Abs(a.QoE.Mean-all.QoE.Mean) > 1e-9*math.Max(1, math.Abs(all.QoE.Mean)) {
-		t.Fatalf("QoE mean %v vs %v", a.QoE.Mean, all.QoE.Mean)
-	}
-	if a.QoEHist.N != all.QoEHist.N {
-		t.Fatalf("hist N %d vs %d", a.QoEHist.N, all.QoEHist.N)
 	}
 }
 

@@ -14,11 +14,12 @@ var leakScope = fileScope{
 	"abrsvc": nil,
 }
 
-// CtxLeak flags `go func` literals that capture neither a context.Context
-// nor any channel operation. Such a goroutine has no cancellation path: in
-// a 10k-session fleet run it outlives its session on drain, pins memory,
-// and trips the race/leak tests only when timing cooperates. Thread a ctx
-// through it, or give it a channel to select on.
+// CtxLeak flags `go func` literals that use neither a context.Context nor
+// a channel operation (naming a channel, as len(ch) does, is not one).
+// Such a goroutine has no cancellation path: in a 10k-session fleet run
+// it outlives its session on drain, pins memory, and trips the race/leak
+// tests only when timing cooperates. Thread a ctx through it, or give it a
+// channel to select on.
 var CtxLeak = &Analyzer{
 	Name: "ctxleak",
 	Doc:  "flag goroutine literals with no context or channel cancellation path",
@@ -38,7 +39,7 @@ func runCtxLeak(p *Pass) {
 				return true // named function: its own body is its own audit
 			}
 			for _, arg := range gs.Call.Args {
-				if t := info.TypeOf(arg); isContext(t) || isChan(t) {
+				if isContext(info.TypeOf(arg)) {
 					return true
 				}
 			}
@@ -52,8 +53,9 @@ func runCtxLeak(p *Pass) {
 }
 
 // hasCancelPath reports whether the goroutine body touches anything that
-// can end it from outside: a context.Context value, any channel operation
-// (send, receive, close, range), or a select statement.
+// can end it from outside: a context.Context value, a channel operation
+// (send, receive, close, range over a channel), or a select statement. An
+// identifier of channel type alone is not one: len(ch) never blocks.
 func hasCancelPath(p *Pass, fl *ast.FuncLit) bool {
 	info := p.Pkg.Info
 	found := false
@@ -77,7 +79,7 @@ func hasCancelPath(p *Pass, fl *ast.FuncLit) bool {
 				found = true
 			}
 		case *ast.Ident:
-			if t := info.TypeOf(n); isContext(t) || isChan(t) {
+			if isContext(info.TypeOf(n)) {
 				found = true
 			}
 		}

@@ -1,12 +1,24 @@
 package runner
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 func work() {}
 
 func bad() {
 	go func() { // want "no cancellation path"
 		work()
+	}()
+}
+
+func badLenOnly(queue chan int) {
+	go func() { // want "no cancellation path"
+		for {
+			time.Sleep(time.Millisecond)
+			_ = len(queue)
+		}
 	}()
 }
 

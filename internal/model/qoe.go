@@ -22,49 +22,51 @@ var (
 )
 
 // ChunkRecord is the per-chunk outcome of a playback session, sufficient to
-// evaluate Eq. (5) and the per-factor CDFs of Figs 9–10.
+// evaluate Eq. (5) and the per-factor CDFs of Figs 9–10. It is the one
+// per-chunk log: its json tags are the export's schema (package export)
+// and it is the body of every decision event (package obs).
 type ChunkRecord struct {
-	Index        int     // chunk number, 0-based
-	Level        int     // chosen ladder level
-	Bitrate      float64 // kbps of the chosen level
-	SizeKbits    float64 // d_k(R_k)
-	StartTime    float64 // t_k, seconds since session start
-	DownloadTime float64 // d_k(R_k)/C_k seconds
-	Throughput   float64 // C_k, average kbps during the download
-	BufferBefore float64 // B_k seconds
-	BufferAfter  float64 // B_{k+1} seconds
-	Rebuffer     float64 // (d_k/C_k - B_k)+ seconds
-	Wait         float64 // Δt_k seconds (buffer-full wait)
-	Predicted    float64 // throughput prediction used for this chunk, 0 if none
+	Index        int     `json:"index"`           // chunk number, 0-based
+	Level        int     `json:"level"`           // chosen ladder level
+	Bitrate      float64 `json:"bitrate_kbps"`    // kbps of the chosen level
+	SizeKbits    float64 `json:"size_kbits"`      // d_k(R_k)
+	StartTime    float64 `json:"start_s"`         // t_k, seconds since session start
+	DownloadTime float64 `json:"download_s"`      // d_k(R_k)/C_k seconds
+	Throughput   float64 `json:"throughput_kbps"` // C_k, average kbps during the download
+	BufferBefore float64 `json:"buffer_before_s"` // B_k seconds
+	BufferAfter  float64 `json:"buffer_after_s"`  // B_{k+1} seconds
+	Rebuffer     float64 `json:"rebuffer_s"`      // (d_k/C_k - B_k)+ seconds
+	Wait         float64 `json:"wait_s"`          // Δt_k seconds (buffer-full wait)
+	Predicted    float64 `json:"predicted_kbps"`  // throughput prediction used for this chunk, 0 if none
 
 	// DecisionTime is the controller's wall-clock cost for this chunk's
 	// decision in real seconds — the Sec 7.4 overhead quantity, recorded
 	// per decision so a regression can be pinned to a specific chunk.
-	DecisionTime float64
+	DecisionTime float64 `json:"decision_s,omitempty"`
 
 	// Transport-health counters, populated by the emulated HTTP client
 	// (always zero in the pure simulator, where downloads cannot fail).
-	Retries  int  // extra download attempts needed beyond the first
-	Resumes  int  // attempts that resumed a truncated transfer via HTTP Range
-	Fallback bool // served at the lowest level after the chosen level's retries ran out
+	Retries  int  `json:"retries,omitempty"`  // extra download attempts needed beyond the first
+	Resumes  int  `json:"resumes,omitempty"`  // attempts that resumed a truncated transfer via HTTP Range
+	Fallback bool `json:"fallback,omitempty"` // served at the lowest level after the chosen level's retries ran out
 
 	// Attempts is the per-attempt transport timing of this chunk's
 	// download, in session (media) time — one entry per HTTP request the
 	// download engine issued, so retry and backoff time is attributable
 	// inside the chunk's download span. Nil in the pure simulator.
-	Attempts []AttemptRecord
+	Attempts []AttemptRecord `json:"attempts,omitempty"`
 }
 
 // AttemptRecord times one HTTP attempt within a chunk download, including
 // the backoff that preceded it. Times are media-seconds on the session
 // clock, like every other duration in the record.
 type AttemptRecord struct {
-	Start    float64 // media-s since session start when the request was issued
-	Duration float64 // media-s the attempt lasted
-	Backoff  float64 // media-s of backoff wait immediately before Start
-	Level    int     // ladder level the attempt requested
-	Resumed  bool    // the attempt resumed a truncated body via HTTP Range
-	Error    string  // "" when the attempt delivered the remaining body
+	Start    float64 `json:"start_s"`             // media-s since session start when the request was issued
+	Duration float64 `json:"duration_s"`          // media-s the attempt lasted
+	Backoff  float64 `json:"backoff_s,omitempty"` // media-s of backoff wait immediately before Start
+	Level    int     `json:"level"`               // ladder level the attempt requested
+	Resumed  bool    `json:"resumed,omitempty"`   // the attempt resumed a truncated body via HTTP Range
+	Error    string  `json:"error,omitempty"`     // "" when the attempt delivered the remaining body
 }
 
 // SessionResult is a completed playback session: the startup delay chosen or
@@ -75,19 +77,20 @@ type SessionResult struct {
 	Chunks       []ChunkRecord
 }
 
-// Metrics are the aggregate QoE factors of a session.
+// Metrics are the aggregate QoE factors of a session. The q-domain means
+// depend on the caller's QualityFunc and are not exported.
 type Metrics struct {
-	AvgBitrate       float64 // mean chosen bitrate, kbps
-	AvgQuality       float64 // mean q(R_k)
-	AvgQualityChange float64 // mean |q(R_{k+1})-q(R_k)| per transition, kbps
-	AvgBitrateChange float64 // mean |R_{k+1}-R_k| per transition, kbps
-	Switches         int     // number of level changes
-	RebufferTime     float64 // total seconds of stall
-	RebufferEvents   int     // number of chunks that stalled
-	StartupDelay     float64 // Ts seconds
-	Retries          int     // total extra download attempts (transport health)
-	Resumes          int     // total Range-resumed transfers
-	Fallbacks        int     // chunks served via lowest-level fallback
+	AvgBitrate       float64 `json:"avg_bitrate_kbps"`        // mean chosen bitrate, kbps
+	AvgQuality       float64 `json:"-"`                       // mean q(R_k)
+	AvgQualityChange float64 `json:"-"`                       // mean |q(R_{k+1})-q(R_k)| per transition, kbps
+	AvgBitrateChange float64 `json:"avg_bitrate_change_kbps"` // mean |R_{k+1}-R_k| per transition, kbps
+	Switches         int     `json:"switches"`                // number of level changes
+	RebufferTime     float64 `json:"rebuffer_s"`              // total seconds of stall
+	RebufferEvents   int     `json:"rebuffer_events"`         // number of chunks that stalled
+	StartupDelay     float64 `json:"startup_delay_s"`         // Ts seconds
+	Retries          int     `json:"retries"`                 // total extra download attempts (transport health)
+	Resumes          int     `json:"resumes"`                 // total Range-resumed transfers
+	Fallbacks        int     `json:"fallbacks"`               // chunks served via lowest-level fallback
 }
 
 // ComputeMetrics aggregates the per-factor quality measures of a session.

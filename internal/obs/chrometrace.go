@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"time"
 )
 
 // This file exports decision events in the Chrome trace-event JSON format
@@ -87,36 +88,33 @@ func metaEvent(pid, tid int, name, value string) traceEvent {
 func chunkEvents(pid int, ev DecisionEvent) []traceEvent {
 	out := make([]traceEvent, 0, 8)
 
-	// Controller decision. Duration is real wall time (µs); a sub-µs
-	// decision is floored so the span stays visible.
-	decideDur := ev.SolverWall.Seconds() * usPerS
-	if decideDur < 1 {
-		decideDur = 1
-	}
+	// Controller decision. Duration is real wall time (µs) at whole-ns
+	// resolution; a sub-µs decision is floored so the span stays visible.
+	solverUs := time.Duration(ev.DecisionTime*float64(time.Second)).Seconds() * usPerS
 	out = append(out, traceEvent{
 		Name: "decide", Cat: "controller", Ph: "X",
-		Ts: ev.Time * usPerS, Dur: decideDur, Pid: pid, Tid: tidController,
+		Ts: ev.StartTime * usPerS, Dur: max(solverUs, 1), Pid: pid, Tid: tidController,
 		Args: map[string]any{
-			"chunk":           ev.Chunk,
-			"buffer_s":        ev.Buffer,
+			"chunk":           ev.Index,
+			"buffer_s":        ev.BufferBefore,
 			"prev_level":      ev.Prev,
 			"chosen_level":    ev.Level,
 			"chosen_kbps":     ev.Bitrate,
 			"candidates_kbps": ev.Candidates,
 			"predicted_kbps":  ev.Predicted,
-			"solver_us":       ev.SolverWall.Seconds() * usPerS,
+			"solver_us":       solverUs,
 		},
 	})
 
 	// The chunk download: one complete span per chunk.
 	out = append(out, traceEvent{
-		Name: fmt.Sprintf("chunk %d", ev.Chunk), Cat: "network", Ph: "X",
-		Ts: ev.DownloadStart * usPerS, Dur: ev.DownloadDur * usPerS, Pid: pid, Tid: tidNetwork,
+		Name: fmt.Sprintf("chunk %d", ev.Index), Cat: "network", Ph: "X",
+		Ts: ev.StartTime * usPerS, Dur: ev.DownloadTime * usPerS, Pid: pid, Tid: tidNetwork,
 		Args: map[string]any{
 			"level":           ev.Level,
 			"bitrate_kbps":    ev.Bitrate,
 			"size_kbits":      ev.SizeKbits,
-			"throughput_kbps": ev.Actual,
+			"throughput_kbps": ev.Throughput,
 			"predicted_kbps":  ev.Predicted,
 			"retries":         ev.Retries,
 			"resumes":         ev.Resumes,
@@ -149,17 +147,17 @@ func chunkEvents(pid int, ev DecisionEvent) []traceEvent {
 	if ev.Rebuffer > 0 {
 		out = append(out, traceEvent{
 			Name: "stall", Cat: "playback", Ph: "X",
-			Ts: (ev.DownloadStart + ev.Buffer) * usPerS, Dur: ev.Rebuffer * usPerS,
+			Ts: (ev.StartTime + ev.BufferBefore) * usPerS, Dur: ev.Rebuffer * usPerS,
 			Pid: pid, Tid: tidPlayback,
-			Args: map[string]any{"chunk": ev.Chunk, "stall_s": ev.Rebuffer},
+			Args: map[string]any{"chunk": ev.Index, "stall_s": ev.Rebuffer},
 		})
 	}
 	if ev.Wait > 0 {
 		out = append(out, traceEvent{
 			Name: "wait (buffer full)", Cat: "playback", Ph: "X",
-			Ts: (ev.DownloadStart + ev.DownloadDur) * usPerS, Dur: ev.Wait * usPerS,
+			Ts: (ev.StartTime + ev.DownloadTime) * usPerS, Dur: ev.Wait * usPerS,
 			Pid: pid, Tid: tidPlayback,
-			Args: map[string]any{"chunk": ev.Chunk},
+			Args: map[string]any{"chunk": ev.Index},
 		})
 	}
 
@@ -167,16 +165,16 @@ func chunkEvents(pid int, ev DecisionEvent) []traceEvent {
 	// predicted vs. actual throughput per chunk.
 	out = append(out,
 		traceEvent{
-			Name: "buffer_s", Ph: "C", Ts: ev.Time * usPerS, Pid: pid, Tid: 0,
-			Args: map[string]any{"media_s": ev.Buffer},
+			Name: "buffer_s", Ph: "C", Ts: ev.StartTime * usPerS, Pid: pid, Tid: 0,
+			Args: map[string]any{"media_s": ev.BufferBefore},
 		},
 		traceEvent{
-			Name: "buffer_s", Ph: "C", Ts: (ev.DownloadStart + ev.DownloadDur + ev.Wait) * usPerS, Pid: pid, Tid: 0,
+			Name: "buffer_s", Ph: "C", Ts: (ev.StartTime + ev.DownloadTime + ev.Wait) * usPerS, Pid: pid, Tid: 0,
 			Args: map[string]any{"media_s": ev.BufferAfter},
 		},
 		traceEvent{
-			Name: "throughput_kbps", Ph: "C", Ts: ev.DownloadStart * usPerS, Pid: pid, Tid: 0,
-			Args: map[string]any{"predicted": ev.Predicted, "actual": ev.Actual},
+			Name: "throughput_kbps", Ph: "C", Ts: ev.StartTime * usPerS, Pid: pid, Tid: 0,
+			Args: map[string]any{"predicted": ev.Predicted, "actual": ev.Throughput},
 		},
 	)
 	return out

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"mpcdash/internal/model"
 )
@@ -40,24 +39,28 @@ func decodeTrace(t *testing.T, buf *bytes.Buffer) traceDoc {
 func sampleEvents() []DecisionEvent {
 	return []DecisionEvent{
 		{
-			Algorithm: "RobustMPC", Chunk: 0,
-			Time: 0, Buffer: 0, Prev: -1, Predicted: 1200,
+			Algorithm: "RobustMPC", Prev: -1,
 			Candidates: []float64{350, 600, 1000},
-			Level:      1, Bitrate: 600, SolverWall: 400 * time.Microsecond,
-			DownloadStart: 0, DownloadDur: 3, Actual: 800, SizeKbits: 2400,
-			Rebuffer: 3, BufferAfter: 4,
+			ChunkRecord: model.ChunkRecord{
+				Index: 0, Level: 1, Bitrate: 600, SizeKbits: 2400,
+				StartTime: 0, DownloadTime: 3, Throughput: 800,
+				BufferBefore: 0, BufferAfter: 4, Rebuffer: 3,
+				Predicted: 1200, DecisionTime: 400e-6,
+			},
 		},
 		{
-			Algorithm: "RobustMPC", Chunk: 1,
-			Time: 3, Buffer: 4, Prev: 1, Predicted: 900,
+			Algorithm: "RobustMPC", Prev: 1,
 			Candidates: []float64{350, 600, 1000},
-			Level:      0, Bitrate: 350, SolverWall: 250 * time.Microsecond,
-			DownloadStart: 3, DownloadDur: 1, Actual: 1400, SizeKbits: 1400,
-			Wait: 0.5, BufferAfter: 6.5,
-			Retries: 1, Resumes: 1,
-			Attempts: []model.AttemptRecord{
-				{Start: 3, Duration: 0.4, Level: 0, Error: "unexpected EOF"},
-				{Start: 3.5, Duration: 0.5, Backoff: 0.1, Level: 0, Resumed: true},
+			ChunkRecord: model.ChunkRecord{
+				Index: 1, Level: 0, Bitrate: 350, SizeKbits: 1400,
+				StartTime: 3, DownloadTime: 1, Throughput: 1400,
+				BufferBefore: 4, BufferAfter: 6.5, Wait: 0.5,
+				Predicted: 900, DecisionTime: 250e-6,
+				Retries: 1, Resumes: 1,
+				Attempts: []model.AttemptRecord{
+					{Start: 3, Duration: 0.4, Level: 0, Error: "unexpected EOF"},
+					{Start: 3.5, Duration: 0.5, Backoff: 0.1, Level: 0, Resumed: true},
+				},
 			},
 		},
 	}
@@ -204,7 +207,7 @@ func TestChromeTraceSinkConcurrent(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sink.Decision(DecisionEvent{Session: s, Chunk: i, Time: float64(i), DownloadDur: 1})
+				sink.Decision(DecisionEvent{Session: s, ChunkRecord: model.ChunkRecord{Index: i, StartTime: float64(i), DownloadTime: 1}})
 			}
 		}(s)
 	}
@@ -252,8 +255,8 @@ func TestEventsFromSession(t *testing.T) {
 	if evs[0].Prev != -1 || evs[1].Prev != 2 {
 		t.Errorf("prev levels = %d, %d; want -1, 2", evs[0].Prev, evs[1].Prev)
 	}
-	if evs[0].SolverWall != time.Millisecond {
-		t.Errorf("SolverWall = %v", evs[0].SolverWall)
+	if evs[0].DecisionTime != 0.001 {
+		t.Errorf("DecisionTime = %v", evs[0].DecisionTime)
 	}
 	if evs[1].Retries != 3 || evs[1].Algorithm != "BB" {
 		t.Errorf("event 1 = %+v", evs[1])

@@ -1,51 +1,20 @@
 package obs
 
-import (
-	"time"
-
-	"mpcdash/internal/model"
-)
+import "mpcdash/internal/model"
 
 // DecisionEvent is one controller step with everything needed to explain
-// it after the fact: the state the controller saw, what it chose, how
-// long choosing took, and how the download it caused actually went. It is
-// the structured analogue of the paper's Sec 6 player log ("a complete
-// log of the state of the player, including buffer level, bitrates,
-// rebuffer time, predicted/actual throughput"). All times are
-// media-seconds since session start except SolverWall, which is the real
-// wall-clock cost of the decision — the quantity the FastMPC table
-// exists to shrink.
+// it after the fact: the chunk's record (what the controller saw and chose,
+// its wall-clock cost and how the download went) plus the controller, the
+// session, the previous level and the candidates. It is the structured
+// analogue of the paper's Sec 6 player log. Times are media-seconds since
+// session start except DecisionTime, the real wall-clock cost of the
+// decision — the quantity the FastMPC table exists to shrink.
 type DecisionEvent struct {
-	Algorithm string // controller name
-	Session   int    // session index when many sessions share a sink (0 for single runs)
-	Chunk     int    // chunk index, 0-based
-
-	// Controller input.
-	Time       float64   // media-s when the controller was invoked
-	Buffer     float64   // B_k, media-s of buffered video at decision time
+	Algorithm  string    // controller name
+	Session    int       // session index when many sessions share a sink (0 for single runs)
 	Prev       int       // previous level, -1 before the first chunk
-	Predicted  float64   // first-step throughput forecast, kbps (0 = none)
 	Candidates []float64 // ladder bitrates the controller chose among, kbps
-
-	// Controller output.
-	Level      int           // chosen (served) ladder level
-	Bitrate    float64       // kbps of Level
-	SolverWall time.Duration // wall-clock time spent inside Decide
-
-	// Download outcome.
-	DownloadStart float64 // media-s when the GET was issued
-	DownloadDur   float64 // media-s the download took
-	Actual        float64 // realized average throughput, kbps
-	SizeKbits     float64 // chunk size delivered
-	Rebuffer      float64 // media-s of stall incurred by this chunk
-	Wait          float64 // media-s of buffer-full idling after this chunk
-	BufferAfter   float64 // B_{k+1}, media-s
-
-	// Transport recovery (PR 1 counters) and its per-attempt timing.
-	Retries  int
-	Resumes  int
-	Fallback bool
-	Attempts []model.AttemptRecord
+	model.ChunkRecord
 }
 
 // Sink receives decision events. Implementations must be safe for
@@ -155,9 +124,9 @@ func (r *Recorder) Decision(ev DecisionEvent) {
 		return
 	}
 	if r.reg != nil {
-		r.download.Observe(ev.DownloadDur)
-		r.throughput.Observe(ev.Actual)
-		r.decision.Observe(ev.SolverWall.Seconds())
+		r.download.Observe(ev.DownloadTime)
+		r.throughput.Observe(ev.Throughput)
+		r.decision.Observe(ev.DecisionTime)
 		r.chunks.Inc()
 		if ev.Rebuffer > 0 {
 			r.rebuffer.Observe(ev.Rebuffer)
@@ -197,29 +166,7 @@ func (r *Recorder) Close() error {
 // the session log to events, used live by the player loop and offline by
 // EventsFromSession.
 func ChunkEvent(algorithm string, prev int, c *model.ChunkRecord, candidates []float64) DecisionEvent {
-	return DecisionEvent{
-		Algorithm:     algorithm,
-		Chunk:         c.Index,
-		Time:          c.StartTime,
-		Buffer:        c.BufferBefore,
-		Prev:          prev,
-		Predicted:     c.Predicted,
-		Candidates:    candidates,
-		Level:         c.Level,
-		Bitrate:       c.Bitrate,
-		SolverWall:    time.Duration(c.DecisionTime * float64(time.Second)),
-		DownloadStart: c.StartTime,
-		DownloadDur:   c.DownloadTime,
-		Actual:        c.Throughput,
-		SizeKbits:     c.SizeKbits,
-		Rebuffer:      c.Rebuffer,
-		Wait:          c.Wait,
-		BufferAfter:   c.BufferAfter,
-		Retries:       c.Retries,
-		Resumes:       c.Resumes,
-		Fallback:      c.Fallback,
-		Attempts:      c.Attempts,
-	}
+	return DecisionEvent{Algorithm: algorithm, Prev: prev, Candidates: candidates, ChunkRecord: *c}
 }
 
 // EventsFromSession reconstructs the decision-event stream of a finished

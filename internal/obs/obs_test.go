@@ -6,7 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"mpcdash/internal/model"
 )
 
 // TestPrometheusGolden pins the exposition format byte for byte: family
@@ -318,14 +319,13 @@ func TestRecorderDecision(t *testing.T) {
 	if !rec.Enabled() {
 		t.Fatal("recorder with registry+sink should be enabled")
 	}
-	rec.Decision(DecisionEvent{
-		Algorithm: "RobustMPC", Chunk: 3,
-		Buffer: 12, Predicted: 1800,
-		Level: 2, Bitrate: 1000, SolverWall: 2 * time.Millisecond,
-		DownloadDur: 1.5, Actual: 2100, Rebuffer: 0.25,
+	rec.Decision(DecisionEvent{Algorithm: "RobustMPC", ChunkRecord: model.ChunkRecord{
+		Index: 3, BufferBefore: 12, Predicted: 1800,
+		Level: 2, Bitrate: 1000, DecisionTime: 0.002,
+		DownloadTime: 1.5, Throughput: 2100, Rebuffer: 0.25,
 		Retries: 2, Resumes: 1, Fallback: true, BufferAfter: 14,
-	})
-	rec.Decision(DecisionEvent{DownloadDur: 0.5, Actual: 900, BufferAfter: 10})
+	}})
+	rec.Decision(DecisionEvent{ChunkRecord: model.ChunkRecord{DownloadTime: 0.5, Throughput: 900, BufferAfter: 10}})
 
 	checkCounter := func(name string, want uint64) {
 		t.Helper()
@@ -368,7 +368,7 @@ func TestRecorderNilParts(t *testing.T) {
 	if !regOnly.Enabled() {
 		t.Error("registry-only recorder should be enabled")
 	}
-	regOnly.Decision(DecisionEvent{DownloadDur: 1})
+	regOnly.Decision(DecisionEvent{ChunkRecord: model.ChunkRecord{DownloadTime: 1}})
 	if err := regOnly.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestRecorderNilParts(t *testing.T) {
 	if !sinkOnly.Enabled() {
 		t.Error("sink-only recorder should be enabled")
 	}
-	sinkOnly.Decision(DecisionEvent{Chunk: 1})
+	sinkOnly.Decision(DecisionEvent{ChunkRecord: model.ChunkRecord{Index: 1}})
 	if len(sink.events) != 1 {
 		t.Errorf("sink-only recorder dropped the event")
 	}

@@ -40,13 +40,14 @@ race:
 	$(GO) test -race ./...
 
 # verify is the full pre-merge gate: build, vet (of the root module and of
-# perfbench, its own module that the root's ./... never compiles), lint
-# (including the escape-analysis reconciliation), and the whole test suite
-# under the race detector.
+# perfbench, its own module that the root's ./... never compiles), gofmt
+# (any file it lists fails), lint (including the escape-analysis
+# reconciliation), and the whole test suite under the race detector.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+	@out=$$(gofmt -l .); echo "$$out"; test -z "$$out"
 	$(GO) run ./cmd/mpclint ./...
 	$(GO) test -race ./...
 

@@ -52,7 +52,7 @@ func main() {
 		// RobustMPC chooses its own startup delay, as in the simulator.
 		Config:    sim.Config{BufferMax: 30, Horizon: 5, Startup: sim.StartupController},
 		TimeScale: timeScale,
-		Retries:   emu.RetriesDefault,
+		Retries:   emu.DefaultRetries,
 	}
 	var traceFile *os.File
 	if *traceOut != "" {

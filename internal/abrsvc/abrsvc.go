@@ -18,8 +18,8 @@
 //
 // Sessions hold the per-viewer state MPC needs between chunks — the
 // error-tracked throughput predictor of Sec 7.1.2 and the last decision —
-// in a sharded, mutex-striped in-memory store with TTL eviction of idle
-// sessions. Overload degrades gracefully rather than collapsing: decide
+// in an in-memory store, one map under one lock, with TTL eviction of
+// idle sessions. Overload degrades gracefully rather than collapsing: decide
 // requests pass a bounded accept queue and a max-in-flight semaphore, and
 // excess load is shed with 429 + Retry-After (counted on
 // mpcdash_abrsvc_shed_total). An optional fairness hook in the direction
@@ -60,8 +60,6 @@ type Config struct {
 	// SessionTTL evicts sessions idle longer than this, swept every
 	// SessionTTL/4. 0 selects 5 min.
 	SessionTTL time.Duration
-	// Shards is the session-store stripe count. 0 selects 16.
-	Shards int
 
 	// MaxInFlight bounds concurrently executing decide requests. 0
 	// selects 4×GOMAXPROCS.
@@ -98,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 5 * time.Minute
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)

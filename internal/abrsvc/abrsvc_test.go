@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -306,25 +307,15 @@ func TestDecideParityWithLocalController(t *testing.T) {
 }
 
 // TestDecidePathZeroAllocs is the runtime witness of //mpc:noalloc on the
-// decide path's shard hash and link-group sample pick. The sample slice is
-// full (len == cap), so any append on it would have to grow.
+// decide path's link-group sample pick. The sample slice is full
+// (len == cap), so any append on it would have to grow.
 func TestDecidePathZeroAllocs(t *testing.T) {
-	st := newStore(16, time.Minute, 100, time.Now, nil)
-	id := "fleet.fastmpc.7.12"
 	samples := []float64{1800, 2400, 0}
-	var hits int
 	var sum float64
-	if allocs := testing.AllocsPerRun(200, func() {
-		if st.shardFor(id) != nil {
-			hits++
-		}
-	}); allocs != 0 {
-		t.Errorf("(*store).shardFor allocates %.2f objects/op, want 0", allocs)
-	}
 	if allocs := testing.AllocsPerRun(200, func() { sum += lastSample(samples) }); allocs != 0 {
 		t.Errorf("lastSample allocates %.2f objects/op, want 0", allocs)
 	}
-	if hits == 0 || sum == 0 {
+	if sum == 0 {
 		t.Fatal("decide-path helpers never ran")
 	}
 }
@@ -334,7 +325,7 @@ func TestDecidePathZeroAllocs(t *testing.T) {
 func TestStoreTTLEvictionFakeClock(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	st := newStore(4, time.Minute, 100, clock, nil)
+	st := newStore(time.Minute, 100, clock, nil)
 
 	mk := func(id string) *session { return &session{id: id, lastChunk: -1} }
 	for _, id := range []string{"a", "b", "c"} {
@@ -396,21 +387,21 @@ func TestServiceJanitorEvictsIdleSessions(t *testing.T) {
 	}
 }
 
-// TestShardCountDeterminism runs the same concurrent decide workload
-// against stores with different stripe counts and requires identical
-// per-session decision sequences: sharding is a contention knob, never a
-// behaviour knob. Run under -race this is also the ErrorTracked-under-
+// TestConcurrentDecideDeterminism runs the same concurrent decide workload
+// twice and requires identical per-session decision sequences: however
+// the requests interleave, each session's decisions depend on its own
+// inputs only. Run under -race this is also the ErrorTracked-under-
 // concurrency test — many goroutines updating per-session predictor state
-// through the sharded store at once.
-func TestShardCountDeterminism(t *testing.T) {
+// through the store at once.
+func TestConcurrentDecideDeterminism(t *testing.T) {
 	const sessions, chunks = 24, 20
 	sample := func(sess, chunk int) float64 {
 		return 500 + 100*float64((sess*31+chunk*17)%40)
 	}
 	tables := fastmpc.NewRegistry() // shared: table built once across sub-runs
 
-	runAll := func(shards int) [][]int {
-		_, c := startTestService(t, Config{Shards: shards, Tables: tables})
+	runAll := func() [][]int {
+		_, c := startTestService(t, Config{Tables: tables})
 		ctx := context.Background()
 		out := make([][]int, sessions)
 		var wg sync.WaitGroup
@@ -454,14 +445,10 @@ func TestShardCountDeterminism(t *testing.T) {
 		return out
 	}
 
-	want := runAll(1)
-	for _, shards := range []int{4, 16} {
-		got := runAll(shards)
-		for s := range want {
-			if fmt.Sprint(got[s]) != fmt.Sprint(want[s]) {
-				t.Fatalf("shards=%d session %d decisions %v, want %v (shards=1)",
-					shards, s, got[s], want[s])
-			}
+	want, got := runAll(), runAll()
+	for s := range want {
+		if fmt.Sprint(got[s]) != fmt.Sprint(want[s]) {
+			t.Fatalf("session %d decisions %v, then %v", s, want[s], got[s])
 		}
 	}
 }
@@ -629,6 +616,97 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 }
+
+// TestShedDuringDrain is TestGracefulDrain with a request queued behind
+// the held one: while Server.Shutdown drains, health answers 503 and the
+// queued request is shed with 429 + Retry-After at its wait deadline (not
+// reset, not a 5xx); the held request still completes, and Shutdown
+// returns nil having closed the decision sink exactly once.
+func TestShedDuringDrain(t *testing.T) {
+	sink := &closeCountSink{}
+	svc := New(Config{
+		Tables:      fastmpc.NewRegistry(),
+		MaxInFlight: 1,
+		QueueDepth:  1,
+		QueueWait:   300 * time.Millisecond,
+		Sink:        sink,
+	})
+	release := holdDecides(t, svc)
+	srv, err := svc.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(srv.URL())
+	defer c.CloseIdle()
+	ctx := context.Background()
+	ack, err := c.Register(ctx, SessionRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := DecideRequest{Session: ack.Session, Chunk: 0, PrevLevel: -1}
+
+	// A parks in the only in-flight slot; B queues behind it.
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := c.Decide(ctx, req)
+		aDone <- err
+	}()
+	waitFor(t, func() bool {
+		return svc.Registry().Snapshot()[MetricInflight] == float64(1)
+	})
+	bDone := make(chan error, 1)
+	go func() {
+		_, err := c.Decide(ctx, req)
+		bDone <- err
+	}()
+	waitFor(t, func() bool {
+		return svc.Registry().Snapshot()[MetricQueued] == float64(1)
+	})
+
+	shutdownDone := make(chan error, 1)
+	go func() {
+		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		shutdownDone <- srv.Shutdown(sctx)
+	}()
+	waitFor(t, func() bool { return svc.draining.Load() })
+
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("healthz while draining = %d, want 503", rec.Code)
+	}
+
+	var apiErr *APIError
+	if err := <-bDone; !errors.As(err, &apiErr) || !apiErr.IsShed() {
+		t.Fatalf("request queued across Shutdown: got %v, want 429", err)
+	}
+	if apiErr.RetryAfter < 1 {
+		t.Errorf("shed response Retry-After = %d, want >= 1", apiErr.RetryAfter)
+	}
+	select {
+	case err := <-shutdownDone:
+		t.Fatalf("Shutdown returned (%v) while a decide was in flight", err)
+	default:
+	}
+
+	release()
+	if err := <-aDone; err != nil {
+		t.Fatalf("in-flight decide failed across Shutdown: %v", err)
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if n := sink.closes.Load(); n != 1 {
+		t.Errorf("sink closed %d times, want 1", n)
+	}
+}
+
+// closeCountSink discards events and counts Close calls.
+type closeCountSink struct{ closes atomic.Int64 }
+
+func (s *closeCountSink) Decision(obs.DecisionEvent) {}
+func (s *closeCountSink) Close() error               { s.closes.Add(1); return nil }
 
 // TestFairnessShare checks the link-group hook end to end: two sessions
 // on one bottleneck each get aggregate/2, and the cap only binds when it

@@ -34,7 +34,7 @@ type session struct {
 	lastResp  DecideResponse
 
 	// lastUsed is the store's idle clock, unix nanoseconds. Guarded by
-	// the owning shard's mutex, not the session mutex.
+	// the store's mutex, not the session mutex.
 	lastUsed int64
 }
 

@@ -64,7 +64,7 @@ func New(cfg Config) *Service {
 	reg := cfg.Registry
 	s := &Service{
 		cfg:    cfg,
-		store:  newStore(cfg.Shards, cfg.SessionTTL, cfg.MaxSessions, time.Now, reg),
+		store:  newStore(cfg.SessionTTL, cfg.MaxSessions, time.Now, reg),
 		adm:    newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueWait, reg),
 		groups: newGroupTable(),
 		mux:    http.NewServeMux(),

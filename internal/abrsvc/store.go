@@ -8,90 +8,52 @@ import (
 	"mpcdash/internal/obs"
 )
 
-// store is the sharded in-memory session table. Shards are mutex-striped
-// so decide traffic for unrelated sessions never contends on one lock,
-// and each shard owns its sessions' idle timestamps. The clock is
-// injected (the service wires the wall clock, tests a fake), which keeps
-// this file free of wall-clock reads and the TTL logic testable without
-// sleeping.
+// store is the in-memory session table: one map under one mutex, which
+// also guards every session's idle timestamp. A decide request holds the
+// lock for one map lookup and one timestamp write, and admission caps
+// concurrent decides at MaxInFlight, so the lock is never contended past
+// that. The clock is injected (the service wires the wall clock, tests a
+// fake), which keeps this file free of wall-clock reads and the TTL logic
+// testable without sleeping.
 type store struct {
-	shards []storeShard
-	ttl    time.Duration
-	max    int
-	now    func() time.Time
-
-	count sync.Mutex // guards total across put/delete/evict
-	total int
+	mu  sync.Mutex
+	m   map[string]*session
+	ttl time.Duration
+	max int
+	now func() time.Time
 
 	gSessions *obs.Gauge
 	cCreated  *obs.Counter
 	cEvicted  *obs.Counter
 }
 
-type storeShard struct {
-	mu sync.Mutex
-	m  map[string]*session
-}
-
-// newStore builds a store with the given stripe count, idle TTL, capacity
-// and clock.
-func newStore(shards int, ttl time.Duration, max int, now func() time.Time, reg *obs.Registry) *store {
-	st := &store{
-		shards: make([]storeShard, shards),
-		ttl:    ttl,
-		max:    max,
-		now:    now,
+// newStore builds a store with the given idle TTL, capacity and clock.
+func newStore(ttl time.Duration, max int, now func() time.Time, reg *obs.Registry) *store {
+	return &store{
+		m:         make(map[string]*session),
+		ttl:       ttl,
+		max:       max,
+		now:       now,
+		gSessions: reg.Gauge(MetricSessions, "Sessions currently resident in the store."),
+		cCreated:  reg.Counter(MetricSessionsCreated, "Sessions registered since start."),
+		cEvicted:  reg.Counter(MetricSessionsEvicted, "Idle sessions removed by TTL eviction."),
 	}
-	for i := range st.shards {
-		st.shards[i].m = make(map[string]*session)
-	}
-	st.gSessions = reg.Gauge(MetricSessions, "Sessions currently resident in the store.")
-	st.cCreated = reg.Counter(MetricSessionsCreated, "Sessions registered since start.")
-	st.cEvicted = reg.Counter(MetricSessionsEvicted, "Idle sessions removed by TTL eviction.")
-	return st
-}
-
-// shardFor stripes a session ID onto its shard by FNV-1a. The hash is
-// inlined over the string: hash/fnv's New32a + Write([]byte(id)) costs two
-// heap allocations per decide request, which this function — on the path
-// between readJSON and the table lookup — is not allowed to pay.
-//
-//mpc:noalloc
-func (st *store) shardFor(id string) *storeShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= prime32
-	}
-	return &st.shards[h%uint32(len(st.shards))]
 }
 
 // put registers a session, enforcing capacity and ID uniqueness.
 func (st *store) put(ss *session) error {
-	st.count.Lock()
-	if st.total >= st.max {
-		st.count.Unlock()
+	st.mu.Lock()
+	if len(st.m) >= st.max {
+		st.mu.Unlock()
 		return fmt.Errorf("abrsvc: session store at capacity (%d resident)", st.max)
 	}
-	st.total++
-	st.count.Unlock()
-
-	sh := st.shardFor(ss.id)
-	sh.mu.Lock()
-	if _, dup := sh.m[ss.id]; dup {
-		sh.mu.Unlock()
-		st.count.Lock()
-		st.total--
-		st.count.Unlock()
+	if _, dup := st.m[ss.id]; dup {
+		st.mu.Unlock()
 		return fmt.Errorf("abrsvc: session %q already registered", ss.id)
 	}
 	ss.lastUsed = st.now().UnixNano()
-	sh.m[ss.id] = ss
-	sh.mu.Unlock()
+	st.m[ss.id] = ss
+	st.mu.Unlock()
 
 	st.cCreated.Inc()
 	st.gSessions.Add(1)
@@ -100,29 +62,24 @@ func (st *store) put(ss *session) error {
 
 // get returns the session and refreshes its idle timestamp.
 func (st *store) get(id string) (*session, bool) {
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	ss, ok := sh.m[id]
+	st.mu.Lock()
+	ss, ok := st.m[id]
 	if ok {
 		ss.lastUsed = st.now().UnixNano()
 	}
-	sh.mu.Unlock()
+	st.mu.Unlock()
 	return ss, ok
 }
 
 // delete removes a session, reporting whether it was resident.
 func (st *store) delete(id string) (*session, bool) {
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	ss, ok := sh.m[id]
+	st.mu.Lock()
+	ss, ok := st.m[id]
 	if ok {
-		delete(sh.m, id)
+		delete(st.m, id)
 	}
-	sh.mu.Unlock()
+	st.mu.Unlock()
 	if ok {
-		st.count.Lock()
-		st.total--
-		st.count.Unlock()
 		st.gSessions.Add(-1)
 	}
 	return ss, ok
@@ -130,34 +87,28 @@ func (st *store) delete(id string) (*session, bool) {
 
 // len reports the resident session count.
 func (st *store) len() int {
-	st.count.Lock()
-	defer st.count.Unlock()
-	return st.total
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.m)
 }
 
 // evictIdle removes every session idle longer than the TTL, returning the
 // evicted sessions so the caller can detach them from their link groups.
-// Each shard is swept under its own lock; a decide request racing the
-// sweep either refreshes the timestamp first (and survives) or finds the
-// session gone (404, the same outcome as arriving after expiry).
+// A decide request racing the sweep either refreshes the timestamp first
+// (and survives) or finds the session gone (404, the same outcome as
+// arriving after expiry).
 func (st *store) evictIdle() []*session {
 	cutoff := st.now().Add(-st.ttl).UnixNano()
 	var evicted []*session
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for id, ss := range sh.m {
-			if ss.lastUsed < cutoff {
-				delete(sh.m, id)
-				evicted = append(evicted, ss)
-			}
+	st.mu.Lock()
+	for id, ss := range st.m {
+		if ss.lastUsed < cutoff {
+			delete(st.m, id)
+			evicted = append(evicted, ss)
 		}
-		sh.mu.Unlock()
 	}
+	st.mu.Unlock()
 	if n := len(evicted); n > 0 {
-		st.count.Lock()
-		st.total -= n
-		st.count.Unlock()
 		st.cEvicted.Add(uint64(n))
 		st.gSessions.Add(-float64(n))
 	}

@@ -35,21 +35,19 @@ type Client struct {
 
 	// Retries is the number of additional attempts per chunk after a
 	// failed or truncated download (dropped connection, 5xx, timeout).
-	// 0 disables retries entirely — the first failure is final; the
-	// sentinel RetriesDefault (-1, or any negative value) selects
-	// DefaultRetries (2). Retry and backoff time count against the
-	// session like any stall, exactly as a real player experiences it.
+	// 0 (or a negative value) disables retries entirely — the first
+	// failure is final; DefaultRetries is the usual budget. Retry and
+	// backoff time count against the session like any stall, exactly as
+	// a real player experiences it.
 	Retries int
 	// AttemptTimeout caps the wall-clock time of a single download
 	// attempt; an attempt exceeding it is aborted and classified as
 	// retryable (a stalled transfer). 0 means no per-attempt cap.
 	AttemptTimeout time.Duration
-	// BackoffBase and BackoffMax bound the exponential backoff between
-	// attempts (base, 2·base, 4·base, … capped at max, each scaled by
-	// deterministic jitter in [0.5, 1.5)). Zero values select 50 ms and
-	// 2 s.
+	// BackoffBase scales the exponential backoff between attempts (base,
+	// 2·base, 4·base, … capped at 2 s, each scaled by deterministic
+	// jitter in [0.5, 1.5)). 0 selects 50 ms.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// DisableFallback turns off graceful degradation. By default, a
 	// chunk that exhausts its retries at the chosen level is re-fetched
 	// at the lowest ladder level before the session is failed, and the
@@ -107,7 +105,7 @@ func (c *Client) run(ctx context.Context, bind abr.Factory) (*model.SessionResul
 		return nil, err
 	}
 	ctrl := bind(man)
-	link := &httpLink{ctx: ctx, engine: c.newDownloader(httpc), scale: c.TimeScale, start: time.Now()}
+	link := &httpLink{ctx: ctx, engine: c.newDownloader(httpc)}
 	return sim.Play(man, link, ctrl, c.Predictor, c.Config)
 }
 
@@ -116,13 +114,11 @@ func (c *Client) run(ctx context.Context, bind abr.Factory) (*model.SessionResul
 // scaled to media seconds, and buffer-full waits are real sleeps.
 type httpLink struct {
 	ctx    context.Context
-	engine *downloader
-	scale  float64   // media s per wall s
-	start  time.Time // session start on the wall clock
-	chunk  int       // last chunk fetched, for error context
+	engine *downloader // also holds the session's wall-clock start and time scale
+	chunk  int         // last chunk fetched, for error context
 }
 
-func (l *httpLink) Now() float64 { return time.Since(l.start).Seconds() * l.scale }
+func (l *httpLink) Now() float64 { return l.engine.media(time.Since(l.engine.start)) }
 
 func (l *httpLink) Fetch(c *model.ChunkRecord) error {
 	l.chunk = c.Index
@@ -130,32 +126,15 @@ func (l *httpLink) Fetch(c *model.ChunkRecord) error {
 		return fmt.Errorf("emu: session cancelled at chunk %d: %w", c.Index, err)
 	}
 	wallStart := time.Now()
-	bytes, served, fetch, err := l.engine.FetchChunk(l.ctx, c.Level, c.Index+1)
+	bytes, err := l.engine.FetchChunk(l.ctx, c)
 	if err != nil {
 		return err
 	}
 	// An instantaneous loopback download would feed +Inf into the
 	// predictor and poison the harmonic mean; floor the duration.
 	dlWall := max(time.Since(wallStart).Seconds(), minDownloadWall)
-	c.Level = served // graceful degradation may have lowered the level
 	c.SizeKbits = float64(bytes) * 8 / 1000
-	c.DownloadTime = dlWall * l.scale // media-time, so kbits/s match trace units
-	c.Retries = fetch.Retries
-	c.Resumes = fetch.Resumes
-	c.Fallback = fetch.Fallback
-	// Per-attempt transport timing in media time, so the retry and
-	// backoff cost inside the chunk's download span stays visible.
-	c.Attempts = make([]model.AttemptRecord, len(fetch.AttemptLog))
-	for i, a := range fetch.AttemptLog {
-		c.Attempts[i] = model.AttemptRecord{
-			Start:    a.Start.Sub(l.start).Seconds() * l.scale,
-			Duration: a.Duration.Seconds() * l.scale,
-			Backoff:  a.Backoff.Seconds() * l.scale,
-			Level:    a.Level,
-			Resumed:  a.Resumed,
-			Error:    a.Err,
-		}
-	}
+	c.DownloadTime = dlWall * l.engine.scale // media-time, so kbits/s match trace units
 	return nil
 }
 
@@ -165,7 +144,7 @@ func (l *httpLink) Wait(sec float64) error {
 	if sec <= 0 {
 		return nil
 	}
-	if err := sleepCtx(l.ctx, time.Duration(sec/l.scale*float64(time.Second))); err != nil {
+	if err := sleepCtx(l.ctx, time.Duration(sec/l.engine.scale*float64(time.Second))); err != nil {
 		return fmt.Errorf("emu: session cancelled waiting on a full buffer after chunk %d: %w", l.chunk, err)
 	}
 	return nil

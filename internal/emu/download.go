@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"mpcdash/internal/model"
 )
 
 // This file is the hardened chunk-fetch engine behind Client: it verifies
@@ -22,58 +24,16 @@ import (
 // transport robustness a real player needs that the control law alone
 // cannot provide.
 
-// Retry/backoff defaults. Backoff counts against the session clock like
+// Retry/backoff policy. Backoff counts against the session clock like
 // any stall, exactly as a real player experiences it.
 const (
-	// DefaultRetries is the per-chunk retry budget selected by the
-	// RetriesDefault sentinel.
+	// DefaultRetries is the per-chunk retry budget dashclient, the
+	// emulation example and the fleet's emu backend give Client.Retries.
 	DefaultRetries = 2
-	// RetriesDefault is the sentinel value for Client.Retries meaning
-	// "use DefaultRetries". (Any negative value is treated the same.)
-	RetriesDefault = -1
 
 	defaultBackoffBase = 50 * time.Millisecond
-	defaultBackoffMax  = 2 * time.Second
+	backoffCap         = 2 * time.Second
 )
-
-// FetchStats records the transport-level work one chunk needed beyond a
-// clean single-request download. The zero value means "first try, no
-// trouble".
-type FetchStats struct {
-	Attempts     int   // HTTP requests issued (>= 1 on success)
-	Retries      int   // attempts beyond the first, including fallback attempts
-	Resumes      int   // attempts that resumed a truncated body via Range
-	BytesWasted  int64 // bytes re-downloaded because a resume was not possible
-	Fallback     bool  // served at the lowest level after exhausting retries
-	FallbackFrom int   // the level originally requested, when Fallback is set
-
-	// AttemptLog times every HTTP request in wall-clock terms, in the
-	// order issued, so retry and backoff time inside a chunk is
-	// attributable in traces rather than vanishing into the chunk total.
-	AttemptLog []Attempt
-}
-
-// Attempt is the wall-clock record of one HTTP request within a chunk
-// download, including the backoff that preceded it.
-type Attempt struct {
-	Level    int           // ladder level the request asked for
-	Start    time.Time     // when the request was issued (after any backoff)
-	Duration time.Duration // request + body-read time
-	Backoff  time.Duration // backoff sleep immediately before Start (0 on first attempts)
-	Resumed  bool          // the request resumed a truncated body via Range
-	Err      string        // "" when the attempt delivered the remaining body
-}
-
-// add accumulates per-level stats into a chunk-wide total, appending o's
-// attempts after s's (callers pass the later stage as o to keep the log
-// chronological).
-func (s *FetchStats) add(o FetchStats) {
-	s.Attempts += o.Attempts
-	s.Retries += o.Retries
-	s.Resumes += o.Resumes
-	s.BytesWasted += o.BytesWasted
-	s.AttemptLog = append(s.AttemptLog, o.AttemptLog...)
-}
 
 // statusError is a non-2xx HTTP response. 5xx (and 429) are transient
 // server conditions worth retrying; other 4xx mean the request itself is
@@ -129,24 +89,17 @@ type downloader struct {
 	retries     int           // extra attempts per level after the first
 	attemptTO   time.Duration // per-attempt wall-clock cap; 0 = none
 	backoffBase time.Duration
-	backoffMax  time.Duration
 	fallback    bool       // degrade to level 0 after exhausting retries
 	rng         *rand.Rand // deterministic backoff jitter
+	start       time.Time  // session start on the wall clock
+	scale       float64    // media s per wall s
 }
 
 // newDownloader materializes the Client's transport policy.
 func (c *Client) newDownloader(httpc *http.Client) *downloader {
-	retries := c.Retries
-	if retries < 0 {
-		retries = DefaultRetries
-	}
 	base := c.BackoffBase
 	if base <= 0 {
 		base = defaultBackoffBase
-	}
-	max := c.BackoffMax
-	if max <= 0 {
-		max = defaultBackoffMax
 	}
 	seed := c.Seed
 	if seed == 0 {
@@ -155,58 +108,63 @@ func (c *Client) newDownloader(httpc *http.Client) *downloader {
 	return &downloader{
 		httpc:       httpc,
 		baseURL:     c.BaseURL,
-		retries:     retries,
+		retries:     max(c.Retries, 0),
 		attemptTO:   c.AttemptTimeout,
 		backoffBase: base,
-		backoffMax:  max,
 		fallback:    !c.DisableFallback,
 		rng:         rand.New(rand.NewSource(seed)),
+		start:       time.Now(),
+		scale:       c.TimeScale,
 	}
 }
+
+// media converts a wall-clock duration to media seconds.
+func (d *downloader) media(dur time.Duration) float64 { return dur.Seconds() * d.scale }
 
 // chunkURL is the DASH segment path ($Number$ is 1-based).
 func (d *downloader) chunkURL(level, number int) string {
 	return fmt.Sprintf("%s/video/%d/%d.m4s", d.baseURL, level, number)
 }
 
-// FetchChunk downloads one media segment, retrying and resuming as
-// configured. On success it returns the verified byte count, the level the
-// bytes were actually served at (== level unless fallback engaged), and
-// the transport stats. The returned error is permanent: either the request
-// can never succeed, the session context is done, or every recovery
-// avenue — retries at the requested level, then the lowest level — has
-// been exhausted.
-func (d *downloader) FetchChunk(ctx context.Context, level, number int) (int64, int, FetchStats, error) {
-	n, st, err := d.fetchLevel(ctx, level, number)
+// FetchChunk downloads chunk c.Index at level c.Level, retrying and
+// resuming as configured, and returns the verified byte count. It records
+// the transport work on c: one AttemptRecord per HTTP request, in the
+// order issued and in media seconds, so retry and backoff time inside the
+// chunk stays attributable; Retries (every request beyond the first,
+// fallback requests included), Resumes and Fallback. It sets c.Level to
+// the level the bytes were actually served at, lower than requested only
+// when fallback engaged. The returned error is permanent: either the
+// request can never succeed, the session context is done, or every
+// recovery avenue — retries at the requested level, then the lowest
+// level — has been exhausted.
+func (d *downloader) FetchChunk(ctx context.Context, c *model.ChunkRecord) (int64, error) {
+	defer func() { c.Retries = max(len(c.Attempts)-1, 0) }()
+	level, number := c.Level, c.Index+1
+	n, err := d.fetchLevel(ctx, c, level, number)
 	if err == nil {
-		return n, level, st, nil
+		return n, nil
 	}
 	// Graceful degradation: a transient failure that survived the whole
 	// retry budget. A permanent failure (404, cancellation) would fail at
 	// the lowest level too, so only transient exhaustion falls back.
 	if d.fallback && level > 0 && retryable(ctx, err) {
-		n2, st2, err2 := d.fetchLevel(ctx, 0, number)
-		st.add(st2) // requested-level attempts first, fallback's after
-		if st.Attempts > 0 {
-			// Every attempt beyond the chunk's very first counts as a
-			// retry, including the fallback level's first attempt.
-			st.Retries = st.Attempts - 1
+		n, err2 := d.fetchLevel(ctx, c, 0, number)
+		if err2 != nil {
+			return 0, fmt.Errorf("emu: chunk %d: lowest-level fallback after %v also failed: %w", number, err, err2)
 		}
-		if err2 == nil {
-			st.Fallback = true
-			st.FallbackFrom = level
-			return n2, 0, st, nil
-		}
-		return 0, level, st, fmt.Errorf("emu: chunk %d: lowest-level fallback after %v also failed: %w", number, err, err2)
+		c.Level, c.Fallback = 0, true
+		return n, nil
 	}
-	return 0, level, st, fmt.Errorf("emu: chunk %d level %d: %w", number, level, err)
+	return 0, fmt.Errorf("emu: chunk %d level %d: %w", number, level, err)
 }
 
-// fetchLevel runs the retry/resume loop for one (level, number) pair.
-func (d *downloader) fetchLevel(ctx context.Context, level, number int) (int64, FetchStats, error) {
+// fetchLevel runs the retry/resume loop for one (level, number) pair,
+// appending each request's record to c.Attempts. A request the server
+// answered with the whole body instead of the asked-for range is not
+// counted in c.Resumes, though its record keeps Resumed set.
+func (d *downloader) fetchLevel(ctx context.Context, c *model.ChunkRecord, level, number int) (int64, error) {
 	url := d.chunkURL(level, number)
 	var (
-		st   FetchStats
 		got  int64 // verified bytes received so far (resume offset)
 		want int64 = -1
 		last error
@@ -214,66 +172,57 @@ func (d *downloader) fetchLevel(ctx context.Context, level, number int) (int64, 
 	for attempt := 0; attempt <= d.retries; attempt++ {
 		var backoff time.Duration
 		if attempt > 0 {
-			st.Retries++
 			backoff = d.backoff(attempt)
 			if err := sleepCtx(ctx, backoff); err != nil {
-				return 0, st, err
+				return 0, err
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return 0, st, err
+			return 0, err
 		}
-		st.Attempts++
 		resumed := got > 0
-		if resumed {
-			st.Resumes++
-		}
 		aStart := time.Now()
 		n, total, err := d.attempt(ctx, url, got)
-		record := func(errText string) {
-			st.AttemptLog = append(st.AttemptLog, Attempt{
-				Level:    level,
-				Start:    aStart,
-				Duration: time.Since(aStart),
-				Backoff:  backoff,
-				Resumed:  resumed,
-				Err:      errText,
-			})
+		rec := model.AttemptRecord{
+			Start:    d.media(aStart.Sub(d.start)),
+			Duration: d.media(time.Since(aStart)),
+			Backoff:  d.media(backoff),
+			Level:    level,
+			Resumed:  resumed,
 		}
 		if total >= 0 {
 			want = total
 		}
-		switch {
-		case err == nil && (want < 0 || got+n == want):
-			// Complete: either verified against Content-Length or the
-			// server sent no length and closed cleanly.
-			record("")
-			return got + n, st, nil
-		case err == nil:
+		if err == nil && want >= 0 && got+n != want {
 			// Read ended without error but short of Content-Length.
 			err = &truncatedError{URL: url, Got: got + n, Want: want}
-			fallthrough
-		default:
-			var re *rangeIgnoredError
-			if errors.As(err, &re) {
-				// Server restarted the body from byte 0; the bytes we
-				// held are useless.
-				st.BytesWasted += got
-				got = re.Got
-				if resumed {
-					st.Resumes--
-				}
-			} else {
-				got += n
-			}
-			record(err.Error())
-			last = err
-			if !retryable(ctx, err) {
-				return 0, st, err
-			}
+		}
+		var re *rangeIgnoredError
+		ignored := errors.As(err, &re)
+		if resumed && !ignored {
+			c.Resumes++
+		}
+		if err == nil {
+			// Complete: either verified against Content-Length or the
+			// server sent no length and closed cleanly.
+			c.Attempts = append(c.Attempts, rec)
+			return got + n, nil
+		}
+		if ignored {
+			// Server restarted the body from byte 0; the bytes we held
+			// are useless.
+			got = re.Got
+		} else {
+			got += n
+		}
+		rec.Error = err.Error()
+		c.Attempts = append(c.Attempts, rec)
+		last = err
+		if !retryable(ctx, err) {
+			return 0, err
 		}
 	}
-	return 0, st, fmt.Errorf("failed after %d attempts: %w", st.Attempts, last)
+	return 0, fmt.Errorf("failed after %d attempts: %w", d.retries+1, last)
 }
 
 // rangeIgnoredError signals that a ranged request came back 200 (full
@@ -373,8 +322,8 @@ func contentRangeTotal(h string) (int64, bool) {
 // clients do not retry in lockstep yet tests stay reproducible.
 func (d *downloader) backoff(attempt int) time.Duration {
 	delay := d.backoffBase << uint(attempt-1)
-	if delay > d.backoffMax || delay <= 0 {
-		delay = d.backoffMax
+	if delay > backoffCap || delay <= 0 {
+		delay = backoffCap
 	}
 	jitter := 0.5 + d.rng.Float64()
 	return time.Duration(float64(delay) * jitter)

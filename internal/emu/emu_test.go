@@ -64,7 +64,7 @@ func session(t *testing.T, m *model.Manifest, tr *trace.Trace, scale float64, fa
 		Config:     sim.Config{BufferMax: 30, Horizon: 5},
 		TimeScale:  scale,
 		HTTP:       &http.Client{Timeout: 50 * time.Second},
-		Retries:    RetriesDefault,
+		Retries:    DefaultRetries,
 	}
 	res, err := client.Run(ctx)
 	if err != nil {
@@ -382,7 +382,7 @@ func faultySession(t *testing.T, m *model.Manifest, tr *trace.Trace, scale float
 		Predictor:  predictor.NewHarmonicMean(5),
 		Config:     sim.Config{BufferMax: 30},
 		TimeScale:  scale,
-		Retries:    RetriesDefault,
+		Retries:    DefaultRetries,
 	}
 	if tweak != nil {
 		tweak(client)
@@ -494,7 +494,8 @@ func Test404FailsFast(t *testing.T) {
 	d := client.newDownloader(http.DefaultClient)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, _, st, err := d.FetchChunk(ctx, 0, 999) // beyond the chunk count
+	st := &model.ChunkRecord{Index: 998, Level: 0} // beyond the chunk count
+	_, err = d.FetchChunk(ctx, st)
 	if err == nil {
 		t.Fatal("fetching a nonexistent chunk succeeded")
 	}
@@ -504,7 +505,7 @@ func Test404FailsFast(t *testing.T) {
 	if got := requests.Load(); got != 1 {
 		t.Errorf("%d requests for a permanent 404, want exactly 1", got)
 	}
-	if st.Attempts != 1 || st.Retries != 0 {
+	if len(st.Attempts) != 1 || st.Retries != 0 {
 		t.Errorf("stats = %+v, want a single attempt", st)
 	}
 }

@@ -156,7 +156,7 @@ func TestServerInstrumented(t *testing.T) {
 		Predictor:  predictor.NewHarmonicMean(5),
 		Config:     sim.Config{BufferMax: 30},
 		TimeScale:  10,
-		Retries:    RetriesDefault,
+		Retries:    DefaultRetries,
 	}
 	res, err := client.Run(ctx)
 	if err != nil {

@@ -45,15 +45,6 @@ func WriteJSON(w io.Writer, res *model.SessionResult, weights model.Weights, q m
 	return nil
 }
 
-// ReadJSON parses a session written by WriteJSON.
-func ReadJSON(r io.Reader) (*SessionJSON, error) {
-	var s SessionJSON
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("export: json: %w", err)
-	}
-	return &s, nil
-}
-
 // csvHeader is the per-chunk CSV column order.
 var csvHeader = []string{
 	"index", "level", "bitrate_kbps", "size_kbits", "start_s", "download_s",
@@ -84,51 +75,4 @@ func WriteCSV(w io.Writer, res *model.SessionResult) error {
 		return fmt.Errorf("export: csv: %w", err)
 	}
 	return nil
-}
-
-// ReadCSV parses a per-chunk CSV back into chunk records.
-func ReadCSV(r io.Reader) ([]model.ChunkRecord, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("export: csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("export: csv: empty input")
-	}
-	if len(rows[0]) != len(csvHeader) {
-		return nil, fmt.Errorf("export: csv: %d columns, want %d", len(rows[0]), len(csvHeader))
-	}
-	out := make([]model.ChunkRecord, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		var c model.ChunkRecord
-		var err error
-		if c.Index, err = strconv.Atoi(row[0]); err != nil {
-			return nil, fmt.Errorf("export: csv row %d: bad index: %w", i+1, err)
-		}
-		if c.Level, err = strconv.Atoi(row[1]); err != nil {
-			return nil, fmt.Errorf("export: csv row %d: bad level: %w", i+1, err)
-		}
-		floats := []*float64{
-			&c.Bitrate, &c.SizeKbits, &c.StartTime, &c.DownloadTime,
-			&c.Throughput, &c.BufferBefore, &c.BufferAfter, &c.Rebuffer,
-			&c.Wait, &c.Predicted, &c.DecisionTime,
-		}
-		for j, dst := range floats {
-			if *dst, err = strconv.ParseFloat(row[2+j], 64); err != nil {
-				return nil, fmt.Errorf("export: csv row %d col %d: %w", i+1, 2+j, err)
-			}
-		}
-		if c.Retries, err = strconv.Atoi(row[13]); err != nil {
-			return nil, fmt.Errorf("export: csv row %d: bad retries: %w", i+1, err)
-		}
-		if c.Resumes, err = strconv.Atoi(row[14]); err != nil {
-			return nil, fmt.Errorf("export: csv row %d: bad resumes: %w", i+1, err)
-		}
-		if c.Fallback, err = strconv.ParseBool(row[15]); err != nil {
-			return nil, fmt.Errorf("export: csv row %d: bad fallback: %w", i+1, err)
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }

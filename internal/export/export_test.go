@@ -1,10 +1,6 @@
 package export
 
 import (
-	"bytes"
-	"math"
-	"reflect"
-	"strings"
 	"testing"
 
 	"mpcdash/internal/abr"
@@ -23,84 +19,4 @@ func sampleSession(t *testing.T) *model.SessionResult {
 		t.Fatal(err)
 	}
 	return res
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	res := sampleSession(t)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, res, model.Balanced, model.QIdentity); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Algorithm != "BB" {
-		t.Errorf("Algorithm = %q", back.Algorithm)
-	}
-	if len(back.Chunks) != len(res.Chunks) {
-		t.Fatalf("chunks = %d, want %d", len(back.Chunks), len(res.Chunks))
-	}
-	if math.Abs(back.QoE-res.QoE(model.Balanced, model.QIdentity)) > 1e-9 {
-		t.Errorf("QoE = %v", back.QoE)
-	}
-	for i, c := range back.Chunks {
-		orig := res.Chunks[i]
-		if c.Bitrate != orig.Bitrate || c.Index != orig.Index ||
-			math.Abs(c.DownloadTime-orig.DownloadTime) > 1e-12 {
-			t.Fatalf("chunk %d differs: %+v vs %+v", i, c, orig)
-		}
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	res := sampleSession(t)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(res.Chunks)+1 {
-		t.Fatalf("lines = %d, want %d", len(lines), len(res.Chunks)+1)
-	}
-	back, err := ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(res.Chunks) {
-		t.Fatalf("chunks = %d, want %d", len(back), len(res.Chunks))
-	}
-	for i, c := range back {
-		orig := res.Chunks[i]
-		// The flat CSV cannot carry the nested per-attempt log; compare
-		// everything else.
-		orig.Attempts = nil
-		c.Attempts = nil
-		if !reflect.DeepEqual(c, orig) {
-			t.Fatalf("chunk %d differs:\n got %+v\nwant %+v", i, c, orig)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"a,b\n1,2\n",
-		strings.Join(csvHeader, ",") + "\nnot-an-int,0,0,0,0,0,0,0,0,0,0,0,0,0,0,false\n",
-		strings.Join(csvHeader, ",") + "\n0,zero,0,0,0,0,0,0,0,0,0,0,0,0,0,false\n",
-		strings.Join(csvHeader, ",") + "\n0,0,x,0,0,0,0,0,0,0,0,0,0,0,0,false\n",
-		strings.Join(csvHeader, ",") + "\n0,0,0,0,0,0,0,0,0,0,0,0,0,x,0,false\n",
-		strings.Join(csvHeader, ",") + "\n0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,maybe\n",
-	}
-	for i, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d should fail", i)
-		}
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{broken")); err == nil {
-		t.Error("broken JSON should fail")
-	}
 }

@@ -123,13 +123,6 @@ func (h *Hist) Quantile(q float64) float64 {
 	return h.Hi
 }
 
-// Clone returns a deep copy.
-func (h *Hist) Clone() *Hist {
-	c := *h
-	c.Bins = append([]int64(nil), h.Bins...)
-	return &c
-}
-
 // Histogram layouts for the per-population quantile estimates: QoE is
 // tracked per watched chunk (so sessions of different lengths are
 // comparable) and spans deep-penalty to max-ladder territory; rebuffer
@@ -202,14 +195,6 @@ func (t *Tally) observe(s sessionStats) {
 	t.RebufHist.Observe(s.rebuffer)
 }
 
-// Clone returns a deep copy.
-func (t *Tally) Clone() *Tally {
-	c := *t
-	c.QoEHist = t.QoEHist.Clone()
-	c.RebufHist = t.RebufHist.Clone()
-	return &c
-}
-
 // orderedTally applies per-session stats to a Tally in session-index
 // order no matter in which order workers complete, so the running means
 // and M2 sums — floating-point and order-sensitive — come out
@@ -250,13 +235,4 @@ func (o *orderedTally) add(i int, s *sessionStats) {
 		}
 		delete(o.pending, o.next)
 	}
-}
-
-// snapshot returns a deep copy of the current contiguous aggregate. Stats
-// of sessions that finished out of order ahead of a straggler are not yet
-// included — the snapshot is always a valid prefix aggregate.
-func (o *orderedTally) snapshot() *Tally {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.tally.Clone()
 }

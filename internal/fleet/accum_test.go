@@ -91,7 +91,7 @@ func TestOrderedTallyDeterministic(t *testing.T) {
 	for _, i := range rng.Perm(n) {
 		ot.add(i, &sessions[i])
 	}
-	got := ot.snapshot()
+	got := ot.tally
 	if got.QoE.Mean != serial.QoE.Mean || got.QoE.M2 != serial.QoE.M2 {
 		t.Fatalf("shuffled reduction differs: mean %v vs %v, M2 %v vs %v",
 			got.QoE.Mean, serial.QoE.Mean, got.QoE.M2, serial.QoE.M2)

@@ -39,7 +39,7 @@ func (f *Fleet) playEmuSession(ctx context.Context, ps *popState, session int, t
 		Predictor:  ps.alg.Predictor(tr),
 		Config:     cfg,
 		TimeScale:  ts,
-		Retries:    emu.RetriesDefault,
+		Retries:    emu.DefaultRetries,
 		Seed:       int64(splitmix64(ps.seed^uint64(session)) >> 1),
 	}
 	return client.Run(ctx)

@@ -2,7 +2,7 @@
 // it drives tens of thousands of emulated or simulated player sessions in
 // one process from a declarative scenario — per-population arrival
 // processes, algorithm choice, trace mixes and churn — with admission
-// control (max in-flight sessions, token-bucket launch rate), graceful
+// control (arrival pacing, max in-flight sessions), graceful
 // drain on context cancellation, and streaming per-population aggregation
 // whose memory stays O(populations), never O(sessions). It is the
 // population-scale counterpart of the single-session evaluation in Sec 7:
@@ -70,8 +70,7 @@ type Options struct {
 }
 
 // Fleet is one prepared scenario run: trace pool and manifest built,
-// admission limits armed, aggregation ready. Snapshot may be called from
-// any goroutine while Run is in progress.
+// admission limits armed, aggregation ready.
 type Fleet struct {
 	sc       *Scenario
 	opt      Options
@@ -80,7 +79,6 @@ type Fleet struct {
 	pool     map[string][]*trace.Trace
 
 	sem      chan struct{} // admission: max in-flight sessions
-	bucket   *tokenBucket  // admission: launch-rate cap
 	inflight *obs.Gauge
 
 	svc *svcEnv       // decision-service wiring, svc backend only
@@ -153,7 +151,6 @@ func New(sc *Scenario, opt Options) (*Fleet, error) {
 		manifest: manifest,
 		weights:  sc.weights(),
 		pool:     buildTracePool(sc, manifest.Duration()),
-		bucket:   newTokenBucket(sc.LaunchRatePerSec, sc.LaunchBurst),
 	}
 	maxInFlight := sc.MaxInFlight
 	if maxInFlight <= 0 {
@@ -354,13 +351,9 @@ func (f *Fleet) playSimSession(_ context.Context, ps *popState, _ int, tr *trace
 }
 
 // admit is the launch gate every session passes: arrival-process pacing,
-// then the token bucket, then an in-flight slot. The returned done
-// callback releases the slot.
+// then an in-flight slot. The returned done callback releases the slot.
 func (f *Fleet) admit(ctx context.Context, ps *popState) (func(), error) {
 	if err := ps.arr.wait(ctx); err != nil {
-		return nil, err
-	}
-	if err := f.bucket.take(ctx); err != nil {
 		return nil, err
 	}
 	select {
@@ -448,33 +441,6 @@ func (ps *popState) watchFor(i, videoChunks int) int {
 	default: // "", "full"
 		return videoChunks
 	}
-}
-
-// PopulationSnapshot is a point-in-time view of one population mid-run.
-type PopulationSnapshot struct {
-	Name      string
-	Algorithm string
-	Sessions  int   // requested
-	Launched  int64 // admitted so far
-	Errors    int64
-	Tally     *Tally // deep copy; safe to inspect while the run continues
-}
-
-// Snapshot returns a consistent per-population view of the run so far;
-// it is safe to call concurrently with Run.
-func (f *Fleet) Snapshot() []PopulationSnapshot {
-	out := make([]PopulationSnapshot, len(f.pops))
-	for i, ps := range f.pops {
-		out[i] = PopulationSnapshot{
-			Name:      ps.pop.Name,
-			Algorithm: ps.alg.Name,
-			Sessions:  ps.pop.Sessions,
-			Launched:  ps.launched.Load(),
-			Errors:    ps.errors.Load(),
-			Tally:     ps.ot.snapshot(),
-		}
-	}
-	return out
 }
 
 // ---- seed derivation ------------------------------------------------
@@ -584,49 +550,4 @@ func sleepUntil(ctx context.Context, t time.Time) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// tokenBucket caps the aggregate launch rate: rate tokens per second up
-// to burst. A nil/unlimited bucket admits immediately. Waiters reserve
-// their token (tokens may go negative), so admissions are spaced even
-// under contention.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(ratePerSec float64, burst int) *tokenBucket {
-	if ratePerSec <= 0 {
-		return nil
-	}
-	if burst <= 0 {
-		burst = 1
-	}
-	return &tokenBucket{rate: ratePerSec, burst: float64(burst), tokens: float64(burst)}
-}
-
-// take consumes one token, sleeping until the bucket refills if needed.
-func (b *tokenBucket) take(ctx context.Context) error {
-	if b == nil {
-		return ctx.Err()
-	}
-	b.mu.Lock()
-	now := time.Now()
-	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	b.tokens--
-	deficit := -b.tokens
-	b.mu.Unlock()
-	if deficit <= 0 {
-		return ctx.Err()
-	}
-	return sleepUntil(ctx, now.Add(time.Duration(deficit/b.rate*float64(time.Second))))
 }

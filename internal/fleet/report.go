@@ -73,7 +73,8 @@ func quantilesOf(h *Hist) Quantiles {
 	return Quantiles{P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99)}
 }
 
-// buildReport assembles the report from the per-population tallies.
+// buildReport assembles the report from the per-population tallies. It
+// runs only after every worker has returned, so it reads them unlocked.
 func (f *Fleet) buildReport() *Report {
 	r := &Report{
 		Scenario: f.sc.Name,
@@ -81,7 +82,7 @@ func (f *Fleet) buildReport() *Report {
 		Backend:  f.opt.Backend,
 	}
 	for _, ps := range f.pops {
-		t := ps.ot.snapshot()
+		t := ps.ot.tally
 		r.Populations = append(r.Populations, PopulationReport{
 			Name:           ps.pop.Name,
 			Algorithm:      ps.alg.Name,

@@ -14,7 +14,7 @@ import (
 )
 
 // Scenario describes one load-generation run: a shared video and trace
-// pool, global admission limits, and one or more session populations.
+// pool, a global in-flight cap, and one or more session populations.
 // Everything random — arrival gaps, trace assignment, watch durations —
 // derives from Seed, so a scenario is a complete, replayable experiment.
 type Scenario struct {
@@ -27,12 +27,6 @@ type Scenario struct {
 	// MaxInFlight caps concurrently playing sessions across all
 	// populations (admission control); 0 selects 2×GOMAXPROCS.
 	MaxInFlight int `json:"max_in_flight"`
-	// LaunchRatePerSec is the token-bucket launch-rate cap shared by all
-	// populations; 0 disables the bucket (arrival processes alone pace
-	// launches).
-	LaunchRatePerSec float64 `json:"launch_rate_per_sec"`
-	// LaunchBurst is the bucket depth; 0 selects 1 (strict pacing).
-	LaunchBurst int `json:"launch_burst"`
 
 	// Weights selects the QoE preference preset: "balanced" (default),
 	// "avoid_instability" or "avoid_rebuffering" (Fig 11b's sets).
@@ -145,8 +139,8 @@ func (sc *Scenario) Validate() error {
 	if len(sc.Populations) == 0 {
 		return fmt.Errorf("fleet: scenario %q has no populations", sc.Name)
 	}
-	if sc.MaxInFlight < 0 || sc.LaunchRatePerSec < 0 || sc.LaunchBurst < 0 {
-		return fmt.Errorf("fleet: scenario %q: admission limits must be non-negative", sc.Name)
+	if sc.MaxInFlight < 0 {
+		return fmt.Errorf("fleet: scenario %q: max_in_flight must be non-negative", sc.Name)
 	}
 	switch strings.ToLower(sc.Weights) {
 	case "", "balanced", "avoid_instability", "avoid_rebuffering":
@@ -309,12 +303,11 @@ func DefaultScenario(sessions int) *Scenario {
 	}
 	half := sessions / 2
 	return &Scenario{
-		Name:             "demo",
-		Seed:             1,
-		Video:            VideoSpec{Chunks: 65, ChunkSec: 4},
-		TracePool:        TracePoolSpec{PerKind: 64},
-		MaxInFlight:      0, // 2×GOMAXPROCS
-		LaunchRatePerSec: 0,
+		Name:        "demo",
+		Seed:        1,
+		Video:       VideoSpec{Chunks: 65, ChunkSec: 4},
+		TracePool:   TracePoolSpec{PerKind: 64},
+		MaxInFlight: 0, // 2×GOMAXPROCS
 		Populations: []Population{
 			{
 				Name:      "robustmpc",

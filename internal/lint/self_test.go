@@ -123,7 +123,6 @@ func TestNoAllocInventoryCovers(t *testing.T) {
 		"fastmpc.(*Table).Lookup",
 		"fastmpc.(*CompressedTable).at",
 		"fastmpc.(*CompressedTable).Lookup",
-		"abrsvc.(*store).shardFor",
 		"abrsvc.lastSample",
 	}
 	for _, name := range want {

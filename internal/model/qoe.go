@@ -146,44 +146,3 @@ func (r *SessionResult) QoE(w Weights, q QualityFunc) float64 {
 	total -= w.MuS * r.StartupDelay
 	return total
 }
-
-// QoEEventCount evaluates the footnote-3 variant of Eq. (5): instead of
-// penalizing total stall seconds, it charges perEvent (kbps-equivalent) for
-// every chunk whose download stalled playback, i.e. Σ 1(d_k/C_k > B_k).
-// Users perceive each interruption, not only their cumulative length.
-func (r *SessionResult) QoEEventCount(w Weights, q QualityFunc, perEvent float64) float64 {
-	var total float64
-	for i, c := range r.Chunks {
-		total += q(c.Bitrate)
-		if i > 0 {
-			total -= w.Lambda * math.Abs(q(c.Bitrate)-q(r.Chunks[i-1].Bitrate))
-		}
-		if c.Rebuffer > 0 {
-			total -= perEvent
-		}
-	}
-	total -= w.MuS * r.StartupDelay
-	return total
-}
-
-// QoETerms evaluates Eq. (5) from raw sequences rather than a session log.
-// bitrates are q-domain inputs in kbps, rebuffers per-chunk stall seconds.
-// It is the single scoring routine shared by the online controllers and the
-// offline optimal solver so that all of them optimize the same objective.
-func QoETerms(w Weights, q QualityFunc, bitrates, rebuffers []float64, prevBitrate float64, hasPrev bool, startup float64) float64 {
-	var total float64
-	last := prevBitrate
-	lastSet := hasPrev
-	for i, b := range bitrates {
-		total += q(b)
-		if lastSet {
-			total -= w.Lambda * math.Abs(q(b)-q(last))
-		}
-		last, lastSet = b, true
-		if i < len(rebuffers) {
-			total -= w.Mu * rebuffers[i]
-		}
-	}
-	total -= w.MuS * startup
-	return total
-}

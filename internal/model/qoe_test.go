@@ -2,7 +2,6 @@ package model
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -81,33 +80,6 @@ func TestComputeMetricsEmpty(t *testing.T) {
 	}
 }
 
-// TestQoETermsMatchesSession: the incremental scorer used by the optimizers
-// agrees with the session-level evaluation.
-func TestQoETermsMatchesSession(t *testing.T) {
-	m := EnvivioManifest()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		levels := make([]int, n)
-		rebufs := make([]float64, n)
-		bitrates := make([]float64, n)
-		for i := range levels {
-			levels[i] = rng.Intn(m.Levels())
-			rebufs[i] = rng.Float64() * 3
-			bitrates[i] = m.Ladder[levels[i]]
-		}
-		startup := rng.Float64() * 5
-		r := session(m, levels, rebufs, startup)
-		w := Balanced
-		a := r.QoE(w, QIdentity)
-		b := QoETerms(w, QIdentity, bitrates, rebufs, 0, false, startup)
-		return math.Abs(a-b) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQualityFuncs(t *testing.T) {
 	if QIdentity(1234) != 1234 {
 		t.Error("QIdentity not identity")
@@ -148,25 +120,5 @@ func TestQoEMonotoneInRebuffer(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQoEEventCount(t *testing.T) {
-	m := EnvivioManifest()
-	// Two stalls of different lengths: the event-count variant charges them
-	// equally, the duration variant does not.
-	short := session(m, []int{2, 2, 2}, []float64{0, 0.1, 0}, 0)
-	long := session(m, []int{2, 2, 2}, []float64{0, 9, 0}, 0)
-	const perEvent = 2000
-	if a, b := short.QoEEventCount(Balanced, QIdentity, perEvent), long.QoEEventCount(Balanced, QIdentity, perEvent); a != b {
-		t.Errorf("event-count QoE should not depend on stall length: %v vs %v", a, b)
-	}
-	if a, b := short.QoE(Balanced, QIdentity), long.QoE(Balanced, QIdentity); a <= b {
-		t.Errorf("duration QoE must punish the longer stall: %v vs %v", a, b)
-	}
-	// Hand-computed: 3×1000 − 1 event×2000 − 0 startup.
-	want := 3000.0 - perEvent
-	if got := short.QoEEventCount(Balanced, QIdentity, perEvent); math.Abs(got-want) > 1e-9 {
-		t.Errorf("QoEEventCount = %v, want %v", got, want)
 	}
 }

@@ -23,14 +23,15 @@ lint-fixtures:
 	$(GO) test ./internal/lint/... ./cmd/mpclint/...
 
 # fuzz smoke-runs every fuzz target (the run-length table and cache-file
-# decoders and the /v1 JSON decode paths) for FUZZTIME each, seeded from the
-# committed corpora under testdata/fuzz.
+# decoders, the /v1 JSON decode paths and the trace download-time walk) for
+# FUZZTIME each, seeded from the committed corpora under testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeserializeCompressed$$' -fuzztime $(FUZZTIME) ./internal/fastmpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheFile$$' -fuzztime $(FUZZTIME) ./internal/fastmpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/abrsvc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecideRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/abrsvc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDownloadTimes$$' -fuzztime $(FUZZTIME) ./internal/trace/
 
 test:
 	$(GO) test ./...

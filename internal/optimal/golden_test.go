@@ -1,6 +1,9 @@
 package optimal
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -112,6 +115,56 @@ func TestSolveGolden(t *testing.T) {
 			if states != want {
 				t.Errorf("%s: frontiers hold %d states over all chunks, want %d", c.name, states, want)
 			}
+		}
+	}
+}
+
+// goldenFrontiers are SHA-256 digests of every frontier solve records for
+// goldenCases, in order, recorded on amd64 with goldenBits. SolvePlan's
+// back-pointers depend on each frontier's order, not just its size.
+var goldenFrontiers = map[string]string{
+	"fig8-fcc":           "7e859d7b95a0e939ecf363692f8bf5471cd108be1a19c25fa33cbaf21d94e3cf",
+	"fig8-hsdpa":         "aea1028d9096bf7e2e676946147d33eae9a1c350f3b3da535df1a0b7be22857a",
+	"fig8-synthetic":     "91a5bbde5f8f5873d53028207d86e6812ad5d1c938d0735b94c416ee4bffdf0d",
+	"discrete-ladder":    "3fdc9bfffcf148ac2324e1e7c415de25bac0f896d1b084c58f9f701bd569eb1e",
+	"half-second-bins":   "7585b2b2ef192b1deadc73686ef9d77fe2478343dfd7b1137e22c5f3985f4d11",
+	"wrapping-zero-rate": "68c92851d6f4c98dabbf51b86617fdaa9c2f66394f4a381bfdd340223600aa78",
+	"dead":               "836913212d36f9682d7412b255695625fe9383e299aadbddcafc950b0f1352bd",
+}
+
+// frontierDigest hashes each recorded frontier in order: every state's
+// key, the bits of its value, time and buffer, and its back-pointer, with
+// a separator after each chunk.
+func frontierDigest(s *Solver, tr *trace.Trace) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	s.solve(tr, func(f []state) {
+		for i := range f {
+			put(f[i].key)
+			put(math.Float64bits(f[i].val))
+			put(math.Float64bits(f[i].t))
+			put(math.Float64bits(f[i].buf))
+			put(uint64(int64(f[i].from)))
+		}
+		put(math.MaxUint64)
+	})
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSolveFrontierGolden pins every frontier of goldenCases, states and
+// order, bit for bit; amd64 only, as TestSolveGolden.
+func TestSolveFrontierGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden frontiers are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	for _, c := range goldenCases {
+		s, tr := c.build(t)
+		if got := frontierDigest(s, tr); got != goldenFrontiers[c.name] {
+			t.Errorf("%s: frontier digest %s, want %s", c.name, got, goldenFrontiers[c.name])
 		}
 	}
 }

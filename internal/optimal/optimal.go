@@ -140,6 +140,8 @@ type kernel struct {
 	shift uint      // 64 - log2(len(index))
 	gap   []float64 // gap[p*levels+q] = λ·|q(p) − q(q)|, the prune margin
 	kept  []float64 // per previous action: best kept value in the tBin group
+	heads []int32   // per time-bin bucket: next unplaced position
+	ends  []int32   // per time-bin bucket: end of its range in next
 }
 
 // solve runs the dynamic program and returns the final frontier. A non-nil
@@ -155,11 +157,11 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 	bufBin := positiveOr(s.BufferBin, 0.5)
 	tsStep := positiveOr(s.TsStep, 1)
 	tsMax := positiveOr(s.TsMax, s.BufferMax)
+	maxB := int16(math.Round(s.BufferMax / bufBin))
 	quantB := func(b float64) int16 {
 		bin := int16(math.Round(b / bufBin))
-		max := int16(math.Round(s.BufferMax / bufBin))
-		if bin > max {
-			bin = max
+		if bin > maxB {
+			bin = maxB
 		}
 		if bin < 0 {
 			bin = 0
@@ -187,7 +189,7 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 		record(frontier)
 	}
 
-	sizes := make([]float64, noPrev)
+	sizes, dls := make([]float64, noPrev), make([]float64, noPrev)
 	for c := 0; c < s.Manifest.ChunkCount; c++ {
 		mult := s.Manifest.SizeMultiplier(c)
 		for a, rate := range actions {
@@ -197,9 +199,8 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 		for i := range frontier {
 			st := &frontier[i]
 			prev := st.prev()
-			at := tr.At(st.t)
-			for a, size := range sizes {
-				dl := at.DownloadTime(size)
+			tr.At(st.t).DownloadTimes(sizes, dls)
+			for a, dl := range dls {
 				if math.IsInf(dl, 1) {
 					continue
 				}
@@ -276,7 +277,7 @@ func (k *kernel) insert(n state) {
 }
 
 // prune drops dominated states from next and returns the rest, written
-// over buf. Within a tBin group, sorted by buffer descending, a state can
+// over buf. Within a tBin group, ordered by buffer descending, a state can
 // only be dominated by a kept state before it. The best kept value per
 // previous action decides that exactly, since fl(x − v) is monotone in x:
 // some kept state clears the gap iff the best one with the same previous
@@ -284,7 +285,7 @@ func (k *kernel) insert(n state) {
 // equal, an approximation inherent to the binning.
 func (k *kernel) prune(noPrev int, buf []state) []state {
 	next := k.next
-	slices.SortFunc(next, compareStates)
+	k.order()
 	out := buf[:0]
 	for g := 0; g < len(next); {
 		group := next[g].key >> 32
@@ -302,22 +303,85 @@ func (k *kernel) prune(noPrev int, buf []state) []state {
 	return out
 }
 
-// compareStates orders by time bin, then buffer and value descending,
-// then previous action and time.
-func compareStates(a, b state) int {
-	if c := cmp.Compare(a.key>>32, b.key>>32); c != 0 {
-		return c
+// order sorts next by time bin, then buffer and value descending, then
+// previous action and time. insert left one state per key, and the key's
+// buffer bin is a function of the buffer, so no two states tie: the order
+// is total and any sort reaches the same sequence. States are counted into
+// buckets of consecutive time bins, permuted into place by cycle-leader
+// swaps, and each bucket sorted alone. Buckets are single bins unless the
+// bins span more than len(next), when 2^shift adjacent bins share one.
+func (k *kernel) order() {
+	next := k.next
+	if len(next) == 0 {
+		return
 	}
-	if c := cmp.Compare(b.buf, a.buf); c != 0 {
-		return c
+	lo, hi := next[0].key>>32, next[0].key>>32
+	for i := range next {
+		b := next[i].key >> 32
+		lo, hi = min(lo, b), max(hi, b)
 	}
-	if c := cmp.Compare(b.val, a.val); c != 0 {
-		return c
+	var shift uint
+	for (hi-lo)>>shift >= uint64(len(next)) {
+		shift++
+	}
+	n := int((hi-lo)>>shift) + 1
+	if cap(k.ends) < n {
+		c := max(n, 2*cap(k.ends)) // the span grows with the chunk count
+		k.heads, k.ends = make([]int32, c), make([]int32, c)
+	}
+	heads, ends := k.heads[:n], k.ends[:n]
+	clear(ends)
+	for i := range next {
+		ends[(next[i].key>>32-lo)>>shift]++
+	}
+	var at int32
+	for b := range ends {
+		heads[b] = at
+		at += ends[b]
+		ends[b] = at
+	}
+	for b := range heads {
+		for heads[b] < ends[b] {
+			d := (next[heads[b]].key>>32 - lo) >> shift
+			next[heads[b]], next[heads[d]] = next[heads[d]], next[heads[b]]
+			heads[d]++
+		}
+	}
+	from := int32(0)
+	for _, to := range ends {
+		if to-from > 1 {
+			slices.SortFunc(next[from:to], bucketOrder)
+		}
+		from = to
+	}
+}
+
+// bucketOrder is order's comparison within one bucket. Values are finite,
+// since unreachable downloads are never inserted.
+func bucketOrder(a, b state) int {
+	if ta, tb := a.key>>32, b.key>>32; ta != tb {
+		return cmp.Compare(ta, tb)
+	}
+	switch {
+	case a.buf > b.buf:
+		return -1
+	case a.buf < b.buf:
+		return 1
+	case a.val > b.val:
+		return -1
+	case a.val < b.val:
+		return 1
 	}
 	if c := cmp.Compare(a.prev(), b.prev()); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.t, b.t)
+	switch {
+	case a.t < b.t:
+		return -1
+	case a.t > b.t:
+		return 1
+	}
+	return 0
 }
 
 // dominated reports whether a kept state of the current group dominates a

@@ -2,6 +2,8 @@ package optimal
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mpcdash/internal/abr"
@@ -110,6 +112,37 @@ func TestSolveDeterministic(t *testing.T) {
 	s := newTestSolver(t, m)
 	if a, b := s.Solve(tr), s.Solve(tr); a != b {
 		t.Errorf("Solve not deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestKernelOrderMatchesSort: the bucketed order equals one global sort by
+// bucketOrder, both when each bucket is one time bin and when the bins
+// span more than the states, as on a slow trace whose downloads take
+// thousands of seconds, and several bins share a bucket.
+func TestKernelOrderMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, span := range []int32{1, 40, 1 << 20} {
+		for _, n := range []int{1, 2, 100} {
+			var k kernel
+			k.reset(n)
+			for len(k.next) < n {
+				// Whole-second buffers and coarse values make ties on them
+				// common, so prev and t break them.
+				buf := rng.Intn(31)
+				k.insert(state{
+					key: packKey(rng.Int31n(span), rng.Intn(4), int16(buf)),
+					val: float64(rng.Intn(5)),
+					t:   rng.Float64(),
+					buf: float64(buf),
+				})
+			}
+			want := slices.Clone(k.next)
+			slices.SortFunc(want, bucketOrder)
+			k.order()
+			if !slices.Equal(k.next, want) {
+				t.Errorf("span %d, %d states: bucketed order differs from the global sort", span, n)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,15 @@
 package trace
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
+
+	"mpcdash/internal/fuzzcorpus"
 )
 
 // referenceDownloadTime is the direct integration Cursor replaced: wrap,
@@ -145,5 +150,160 @@ func TestCursorEdgeCases(t *testing.T) {
 	}
 	if got := tr.At(1).DownloadTime(-3); got != 0 {
 		t.Errorf("negative size: DownloadTime = %v, want 0", got)
+	}
+}
+
+// checkDownloadTimes requires DownloadTimes over sizes to equal the
+// cursor's DownloadTime of each size, bit for bit.
+func checkDownloadTimes(t testing.TB, tr *Trace, start float64, sizes []float64) {
+	t.Helper()
+	c := tr.At(start)
+	dst := make([]float64, len(sizes))
+	c.DownloadTimes(sizes, dst)
+	for i, kb := range sizes {
+		if want := c.DownloadTime(kb); math.Float64bits(dst[i]) != math.Float64bits(want) {
+			t.Fatalf("%s: At(%v).DownloadTimes: size %d (%v) took %v, DownloadTime %v", tr.Name, start, i, kb, dst[i], want)
+		}
+	}
+}
+
+// TestDownloadTimesMatchesDownloadTime: on FCC- and HSDPA-like traces and
+// traces with zero-rate stretches, from pass starts, segment boundaries
+// and random offsets, DownloadTimes equals DownloadTime bit for bit for
+// ascending ladders, ladders wrapping the pass once or more, sizes landing
+// exactly on segment boundaries, repeats, sizes of zero or less, NaN and
+// descending lists.
+func TestDownloadTimesMatchesDownloadTime(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	traces := []*Trace{
+		GenFCC(1, 400), GenHSDPA(2, 400),
+		mustTrace(t, "wrap", []Sample{{2, 900}, {1.5, 0}, {0.5, 4000}, {3, 0}}),
+		mustTrace(t, "edges", []Sample{{2, 100}, {1, 0}, {0.5, 400}, {3, 0}}),
+	}
+	for i := 0; i < 20; i++ {
+		traces = append(traces, randomTrace(t, rng, 1+rng.Intn(30), true))
+	}
+	for _, tr := range traces {
+		perPass := tr.cumKb[len(tr.Samples)]
+		starts := []float64{0, tr.Duration(), -rng.Float64() * tr.Duration(), math.Nextafter(tr.Duration(), 0)}
+		for i := range tr.cumDur {
+			starts = append(starts, tr.cumDur[i])
+		}
+		for i := 0; i < 8; i++ {
+			starts = append(starts, rng.Float64()*3*tr.Duration())
+		}
+		for _, start := range starts {
+			c := tr.At(start)
+			// The rate ladder of the offline optimum: 11 uniform rates
+			// over 4 s chunks.
+			var ladder []float64
+			for r := 350.0; r <= 4300; r += 395 {
+				ladder = append(ladder, 4*r)
+			}
+			// Sizes reaching each later segment boundary exactly, then
+			// the rest of the pass, then whole passes beyond it.
+			var boundaries []float64
+			for j := c.seg + 1; j < len(tr.cumKb); j++ {
+				boundaries = append(boundaries, tr.cumKb[j]-c.base)
+			}
+			boundaries = append(boundaries, c.passRest, c.passRest+perPass, c.passRest+2.5*perPass)
+			sort.Float64s(boundaries)
+			var spread []float64
+			for kb := perPass / 50; kb < 4*perPass; kb *= 1.3 {
+				spread = append(spread, kb)
+			}
+			descending := slices.Clone(spread)
+			slices.Reverse(descending)
+			for _, sizes := range [][]float64{
+				ladder, boundaries, spread, descending,
+				{-1, 0, 1e-12, 0, 5, 5, 5, 3, 7, math.NaN(), 9, 9},
+				{c.passRest, c.passRest, math.Nextafter(c.passRest, 0), math.Nextafter(c.passRest, math.Inf(1))},
+				{math.Inf(1), 1},
+				nil,
+			} {
+				checkDownloadTimes(t, tr, start, sizes)
+			}
+		}
+	}
+	dead := mustTrace(t, "dead", []Sample{{5, 0}, {2, 0}})
+	checkDownloadTimes(t, dead, 3, []float64{-1, 0, 1, 2})
+}
+
+// downloadTimesSeed encodes one FuzzDownloadTimes input: the start and
+// the size step as float64 bits, the sample count, each sample as a
+// duration in 1/64 s above zero and a rate in kbps (uint16 each), then the
+// sizes as int16 multiples of step.
+func downloadTimesSeed(start, step float64, samples [][2]uint16, sizes []int16) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, math.Float64bits(start))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(step))
+	b = append(b, byte(len(samples)))
+	for _, s := range samples {
+		b = binary.LittleEndian.AppendUint16(b, s[0])
+		b = binary.LittleEndian.AppendUint16(b, s[1])
+	}
+	for _, kb := range sizes {
+		b = binary.LittleEndian.AppendUint16(b, uint16(kb))
+	}
+	return b
+}
+
+// downloadTimesSeeds is the committed seed corpus for FuzzDownloadTimes.
+func downloadTimesSeeds() [][]byte {
+	wrap := [][2]uint16{{127, 900}, {95, 0}, {31, 4000}, {191, 0}} // 2 s, 1.5 s, 0.5 s, 3 s
+	return [][]byte{
+		downloadTimesSeed(3.5, 200, wrap, []int16{1, 2, 4, 8, 16, 32, 64}),      // ascending, wrapping
+		downloadTimesSeed(0, 450, wrap, []int16{1, 2, 2, 8, 8, 3, 0, -1}),       // boundaries, repeats, descending
+		downloadTimesSeed(-1, 1000, [][2]uint16{{63, 1000}}, []int16{-1, 0, 1}), // one segment
+		downloadTimesSeed(2, 1, [][2]uint16{{319, 0}, {127, 0}}, []int16{0, 1}), // dead trace
+		downloadTimesSeed(math.NaN(), math.Inf(1), wrap, []int16{1, -1, 0}),     // NaN start, infinite sizes
+	}
+}
+
+// FuzzDownloadTimes builds a trace, a start and a size list from fuzzed
+// bytes (see downloadTimesSeed) and requires DownloadTimes to equal
+// DownloadTime bit for bit, +Inf and NaN included. Traces arrive as
+// untrusted files, so no shape of one may split the two.
+func FuzzDownloadTimes(f *testing.F) {
+	for _, s := range downloadTimesSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 17 {
+			return
+		}
+		start := math.Float64frombits(binary.LittleEndian.Uint64(data))
+		step := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
+		n, data := int(data[16]), data[17:]
+		if len(data) < 4*n {
+			return
+		}
+		samples := make([]Sample, n)
+		for i := range samples {
+			samples[i] = Sample{
+				Duration: float64(1+int(binary.LittleEndian.Uint16(data[4*i:]))) / 64,
+				Kbps:     float64(binary.LittleEndian.Uint16(data[4*i+2:])),
+			}
+		}
+		tr, err := New("fuzz", samples)
+		if err != nil {
+			return // no samples
+		}
+		var sizes []float64
+		for data = data[4*n:]; len(data) >= 2; data = data[2:] {
+			sizes = append(sizes, float64(int16(binary.LittleEndian.Uint16(data)))*step)
+		}
+		checkDownloadTimes(t, tr, start, sizes)
+	})
+}
+
+// TestFuzzCorpusCommitted keeps testdata/fuzz/FuzzDownloadTimes in sync
+// with downloadTimesSeeds.
+func TestFuzzCorpusCommitted(t *testing.T) {
+	problems, err := fuzzcorpus.Sync(filepath.Join("testdata", "fuzz", "FuzzDownloadTimes"), downloadTimesSeeds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
 	}
 }

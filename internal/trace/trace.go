@@ -192,10 +192,58 @@ func (c Cursor) DownloadTime(kilobits float64) float64 {
 		lo = seg + 1
 	}
 	j := lo + sort.Search(len(t.cumKb)-lo, func(k int) bool { return t.cumKb[lo+k] >= target })
+	return t.finish(j, target, elapsed, pos)
+}
+
+// DownloadTimes sets dst[i] to DownloadTime(sizes[i]) for every size, bit
+// for bit; dst must be at least as long as sizes. Within the pass, a size
+// no smaller than the last one resumes the finish-segment search from that
+// one's answer, so an ascending rate ladder costs one walk of the trace.
+// Any other size (zero or less, wrapping the pass, smaller than the last,
+// or NaN) goes through DownloadTime.
+func (c Cursor) DownloadTimes(sizes, dst []float64) {
+	t := c.t
+	j, last := 0, 0.0
+	for i, kb := range sizes {
+		if !(kb > 0 && kb <= c.passRest && kb >= last) {
+			dst[i] = c.DownloadTime(kb)
+			continue
+		}
+		// The first boundary reaching a target is non-decreasing in the
+		// target, so the last answer bounds this one from below.
+		target := c.base + kb
+		if target > c.base {
+			j = max(j, c.seg+1)
+		}
+		j = t.seekKb(j, target)
+		last = kb
+		dst[i] = t.finish(j, target, 0, c.pos)
+	}
+}
+
+// seekKb returns the first index from lo whose cumulative volume reaches
+// target, or len(cumKb): a galloping search that costs the logarithm of
+// the distance walked.
+func (t *Trace) seekKb(lo int, target float64) int {
+	hi, step := lo, 1
+	for hi < len(t.cumKb) && !(t.cumKb[hi] >= target) {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	hi = min(hi, len(t.cumKb))
+	return lo + sort.Search(hi-lo, func(k int) bool { return t.cumKb[lo+k] >= target })
+}
+
+// finish returns the download time of a transfer that started at pass
+// offset pos, elapsed seconds before the current pass began, and completes
+// target kilobits into this pass, where j is the first boundary whose
+// cumulative volume reaches target.
+func (t *Trace) finish(j int, target, elapsed, pos float64) float64 {
 	if j == 0 {
 		j = 1
 	}
-	seg = j - 1
+	seg := j - 1
 	if seg >= len(t.Samples) {
 		seg = len(t.Samples) - 1
 	}

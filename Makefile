@@ -23,8 +23,10 @@ lint-fixtures:
 	$(GO) test ./internal/lint/... ./cmd/mpclint/...
 
 # fuzz smoke-runs every fuzz target (the run-length table and cache-file
-# decoders, the /v1 JSON decode paths and the trace download-time walk) for
-# FUZZTIME each, seeded from the committed corpora under testdata/fuzz.
+# decoders, the /v1 JSON decode paths, the trace download-time walk and
+# text-trace reader, and the exact MPC solver against its recursive
+# reference) for FUZZTIME each, seeded from the committed corpora under
+# testdata/fuzz and the targets' f.Add seeds.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDeserializeCompressed$$' -fuzztime $(FUZZTIME) ./internal/fastmpc/
@@ -32,6 +34,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/abrsvc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecideRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/abrsvc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDownloadTimes$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 test:
 	$(GO) test ./...

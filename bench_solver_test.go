@@ -51,6 +51,28 @@ func BenchmarkSolver_PlanScratchSteadyState(b *testing.B) {
 	}
 }
 
+// startupState is the first-chunk state every RobustMPC session of a
+// fleet-sim batch solves, recorded from sim.Run: no throughput sample
+// yet, so the forecast and its lower bound are all zero (the minRate
+// floor).
+func startupState() abr.State {
+	return abr.State{Chunk: 0, Buffer: 0, Prev: -1, Forecast: []float64{0, 0, 0, 0, 0}, Startup: true}
+}
+
+// BenchmarkSolver_PlanStartup is the startup solve (sim.StartupController):
+// the horizon search over the whole 61-point Ts grid, 0 to 30 s by 0.5 s.
+func BenchmarkSolver_PlanStartup(b *testing.B) {
+	opt := solverOptimizer(b)
+	st := startupState()
+	var s core.Scratch
+	opt.PlanScratch(&s, st.Chunk, st.Buffer, st.Prev, st.Forecast, st.Startup)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.PlanScratch(&s, st.Chunk, st.Buffer, st.Prev, st.Forecast, st.Startup)
+	}
+}
+
 // BenchmarkSolver_PlanPooled is the same decision through the pooled Plan
 // entry point (callers without their own Scratch).
 func BenchmarkSolver_PlanPooled(b *testing.B) {

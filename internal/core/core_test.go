@@ -390,28 +390,47 @@ func TestTerminalBufferZeroIsIdentity(t *testing.T) {
 	}
 }
 
-// TestPruningOffSameAnswer: branch-and-bound is a pure optimization.
+// TestPruningOffSameAnswer: branch-and-bound is a pure optimization. The
+// ladder bound, the rollout incumbent and the startup floor change which
+// nodes the search enters, never the level, Ts or QoE bits it returns.
+// The sweep covers the three weight presets and one with µs ≠ µ, a
+// terminal buffer reward, buffers above B_max, empty, short, full and
+// over-long forecasts, all-zero forecasts (the minRate floor, whose ~1e10
+// rebuffer penalties stress the cut's rounding slack) and startup solves.
 func TestPruningOffSameAnswer(t *testing.T) {
 	m := model.EnvivioManifest()
-	a, err := NewOptimizer(m, model.Balanced, model.QIdentity, 30, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewOptimizer(m, model.Balanced, model.QIdentity, 30, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.DisablePruning = true
+	presets := []model.Weights{model.Balanced, model.AvoidInstability, model.AvoidRebuffering, {Lambda: 1, Mu: 3000, MuS: 500}}
 	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 150; i++ {
-		buffer := rng.Float64() * 30
-		prev := rng.Intn(5)
-		rates := []float64{100 + rng.Float64()*4000}
-		k := rng.Intn(50)
-		la, _, qa := a.Plan(k, buffer, prev, rates, false)
-		lb, _, qb := b.Plan(k, buffer, prev, rates, false)
-		if la != lb || math.Abs(qa-qb) > 1e-9 {
-			t.Fatalf("pruning changed the answer: (%d,%v) vs (%d,%v)", la, qa, lb, qb)
+	for _, w := range presets {
+		for _, terminal := range []float64{0, 300} {
+			a, err := NewOptimizer(m, w, model.QIdentity, 30, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := *a
+			b.DisablePruning = true
+			a.TerminalBufferWeight, b.TerminalBufferWeight = terminal, terminal
+			var sa, sb Scratch
+			for i := 0; i < 150; i++ {
+				k := rng.Intn(m.ChunkCount)
+				buffer := rng.Float64() * 40
+				prev := rng.Intn(m.Levels()+1) - 1
+				forecast := make([]float64, rng.Intn(8))
+				if i%5 > 0 {
+					for j := range forecast {
+						if rng.Intn(4) > 0 {
+							forecast[j] = 100 + rng.Float64()*6000
+						}
+					}
+				}
+				startup := i%10 == 0
+				la, ta, qa := a.PlanScratch(&sa, k, buffer, prev, forecast, startup)
+				lb, tb, qb := b.PlanScratch(&sb, k, buffer, prev, forecast, startup)
+				if la != lb || math.Float64bits(ta) != math.Float64bits(tb) || math.Float64bits(qa) != math.Float64bits(qb) {
+					t.Fatalf("weights %+v, terminal %v, state(k=%d,B=%v,prev=%d,f=%v,startup=%v): pruned (%d,%v,%v) != unpruned (%d,%v,%v)",
+						w, terminal, k, buffer, prev, forecast, startup, la, ta, qa, lb, tb, qb)
+				}
+			}
 		}
 	}
 }

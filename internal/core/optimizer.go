@@ -118,15 +118,16 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	if prev >= levels {
 		prev = levels - 1
 	}
+	// Any negative previous level means none; the bound table has one
+	// column for it.
+	prev = max(prev, -1)
 	s.grow(steps, levels)
 
 	// Hoist the per-level quality out of the enumeration: the DFS visits
 	// O(levels^steps) nodes, each of which previously paid two QualityFunc
 	// calls.
-	qMax := math.Inf(-1)
 	for lvl := 0; lvl < levels; lvl++ {
 		s.qual[lvl] = o.Quality(o.Manifest.Ladder[lvl])
-		qMax = max(qMax, s.qual[lvl])
 	}
 
 	// Pad or truncate the forecast to exactly steps entries, extending with
@@ -148,16 +149,11 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 			row[lvl] = o.Manifest.ChunkSize(k+d, lvl) / s.rates[d]
 		}
 	}
-
-	// optimistic[d] bounds the QoE attainable from depth d onward,
-	// including the terminal buffer reward (at most the buffer cap).
-	s.optimistic[steps] = o.TerminalBufferWeight * o.BufferMax
-	for d := steps - 1; d >= 0; d-- {
-		s.optimistic[d] = s.optimistic[d+1] + qMax
-	}
+	s.nodes = 0
 
 	if !startup {
-		lvl, q := o.search(s, buffer, prev, steps, levels)
+		o.ladderBound(s, buffer, steps, levels)
+		lvl, q, _ := o.search(s, buffer, prev, steps, levels, math.Inf(-1))
 		return lvl, 0, q
 	}
 
@@ -174,9 +170,18 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 		tsMax = o.BufferMax
 	}
 	n := int((tsMax + 1e-9) / step)
+	// One bound serves the whole grid: the largest Ts caps every buffer.
+	o.ladderBound(s, float64(n)*step, steps, levels)
 	for i := 0; i <= n; i++ {
 		t := float64(i) * step
-		lvl, q := o.search(s, t, prev, steps, levels)
+		// Past the first point the rule below keeps a Ts only if its QoE
+		// beats bestQoE−1e-6, so the search starts from that floor (less a
+		// rounding slack); a search that finds nothing above it is a Ts the
+		// rule would not have kept.
+		lvl, q, found := o.search(s, t, prev, steps, levels, slackBelow(bestQoE-1e-6+o.Weights.MuS*t))
+		if !found {
+			continue
+		}
 		q -= o.Weights.MuS * t
 		// With µ = µs, trading startup delay for first-chunk stall is QoE
 		// neutral; among (near-)ties prefer the larger Ts, i.e. start
@@ -188,50 +193,147 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	return bestLevel, bestTs, bestQoE
 }
 
+// slackBelow is v less a relative slack far above the rounding error of a
+// horizon total, so a plan whose computed total exceeds v is never cut
+// because its bound was summed in another order.
+func slackBelow(v float64) float64 {
+	return v - 1e-9*(math.Abs(v)+1)
+}
+
+// chunkModel holds the per-solve constants of one download in the horizon
+// model: the QoE weights µ and λ, the chunk duration L and the buffer cap.
+type chunkModel struct {
+	mu, lambda, chunkDur, bufMax float64
+}
+
+func (o *Optimizer) chunkModel() chunkModel {
+	return chunkModel{o.Weights.Mu, o.Weights.Lambda, o.Manifest.ChunkDuration, o.BufferMax}
+}
+
+// score is one download: a chunk of quality q taking dl seconds, entered
+// with b seconds of buffer after quality qp (switched false: no previous
+// level). It returns the QoE gain and the buffer left afterwards. The
+// search, its leaves and the rollout all score through it, so one plan
+// gets the same bits on every path.
+func (m chunkModel) score(q, qp float64, switched bool, dl, b float64) (gain, after float64) {
+	rebuffer := max(dl-b, 0)
+	afterDrain := max(b-dl, 0) + m.chunkDur
+	wait := max(afterDrain-m.bufMax, 0)
+	gain = q - m.mu*rebuffer
+	if switched {
+		gain -= m.lambda * math.Abs(q-qp)
+	}
+	return gain, afterDrain - wait
+}
+
+// ladderBound fills s.bound with U_d(p), an upper bound on the QoE any
+// completion from depth d after level p can add, for every buffer entering
+// depth 0 of at most cap0 seconds:
+//
+//	U_d(p) = max_l [ q_l − µ·max(dl_d(l) − cap_d, 0) − λ·|q_l − q_p| + U_{d+1}(l) ]
+//	U_N    = terminal·cap_N
+//
+// where cap_d bounds the buffer entering depth d, and p = −1 has no
+// switching term. A larger buffer never rebuffers more, so scoring each
+// level against cap_d bounds its real gain; the switching cost is exact.
+// The bound is summed in another order than a plan's total, which
+// slackBelow absorbs.
+func (o *Optimizer) ladderBound(s *Scratch, cap0 float64, steps, levels int) {
+	cm := o.chunkModel()
+	w := levels + 1 // row width: column p+1 holds U_d(p), p = −1 included
+	caps, bound, qual, head := s.caps, s.bound, s.qual, s.head
+	caps[0] = cap0
+	for d := 0; d < steps; d++ {
+		minDl := math.Inf(1)
+		for _, dl := range s.dl[d*levels : (d+1)*levels] {
+			minDl = min(minDl, dl)
+		}
+		c := max(caps[d]-minDl, 0) + cm.chunkDur
+		if c > cm.bufMax {
+			// afterDrain−wait lands within one ulp of afterDrain above
+			// B_max, so round the cap upward by two.
+			c = cm.bufMax + 2*(math.Nextafter(c, math.Inf(1))-c)
+		}
+		caps[d+1] = c
+	}
+	// A negative weight rewards an empty buffer most: its term is ≤ 0.
+	tail := max(o.TerminalBufferWeight*caps[steps], 0)
+	for i := steps * w; i < (steps+1)*w; i++ {
+		bound[i] = tail
+	}
+	for d := steps - 1; d >= 0; d-- {
+		below, row := bound[(d+1)*w:(d+2)*w], bound[d*w:(d+1)*w]
+		// head[l] is everything but the switching cost.
+		row[0] = math.Inf(-1)
+		for lvl, dl := range s.dl[d*levels : (d+1)*levels] {
+			head[lvl] = qual[lvl] - cm.mu*max(dl-caps[d], 0) + below[lvl+1]
+			row[0] = max(row[0], head[lvl])
+		}
+		for p, qp := range qual {
+			u := math.Inf(-1)
+			for lvl, h := range head {
+				u = max(u, h-cm.lambda*math.Abs(qual[lvl]-qp))
+			}
+			row[p+1] = u
+		}
+	}
+}
+
 // search exhaustively maximizes the horizon QoE by depth-first enumeration
-// with branch-and-bound: a partial plan is abandoned when even rebuffer-free
-// maximum-quality completion cannot beat the incumbent. Ties break toward
-// the lower level because ascending iteration only replaces on strict
-// improvement. The traversal is iterative over the Scratch's explicit
-// stacks — same visit order as the recursive formulation, node for node,
-// without the closure and call-frame allocations. The last depth scores
-// all of its leaves in one ascending loop rather than pushing a frame per
-// leaf; leaf siblings are never cut, so the order and the arithmetic are
-// unchanged.
+// with branch-and-bound: a partial plan is abandoned when its accumulated
+// QoE plus the ladder bound U_d(prev) (ladderBound) cannot beat the
+// incumbent less slackBelow's slack. The incumbent starts at floor; with
+// no floor (−∞) it starts just below the rollout plan, which follows the
+// best level by gain plus bound at every depth, and the DFS re-finds that
+// plan or a better one, so the result is the plan it would find from −∞.
+// Ties break toward the lower level because ascending iteration only
+// replaces on strict improvement. found reports whether any plan beat the
+// starting incumbent; if none did, no plan scores above floor.
+//
+// The traversal is iterative over the Scratch's explicit stacks — the
+// visit order of the recursive formulation without the closure and
+// call-frame allocations. The last depth scores all of its leaves in one
+// ascending loop rather than pushing a frame per leaf; leaf siblings are
+// never cut, so the order and the arithmetic are unchanged. It adds the
+// nodes it enters to s.nodes.
 //
 //mpc:noalloc
-func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels int) (int, float64) {
-	chunkDur := o.Manifest.ChunkDuration
-	bufMax := o.BufferMax
+func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels int, floor float64) (first int, qoe float64, found bool) {
+	cm := o.chunkModel()
 	terminal := o.TerminalBufferWeight
-	mu, lambda := o.Weights.Mu, o.Weights.Lambda
 	prune := !o.DisablePruning
-	dlTab, qual, optimistic := s.dl, s.qual, s.optimistic
+	dlTab, qual, bound := s.dl, s.qual, s.bound
 	buf, acc, prv, choice, next := s.buf, s.acc, s.prv, s.choice, s.next
+	w := levels + 1
+	last := steps - 1
 
-	bestFirst, bestQoE := 0, math.Inf(-1)
+	bestFirst, bestQoE := 0, floor
+	if math.IsInf(floor, -1) {
+		if r := slackBelow(o.rollout(s, cm, buffer, prev, steps, levels)); r > bestQoE {
+			bestQoE = r // a NaN total leaves no incumbent
+		}
+	}
+	cut := slackBelow(bestQoE)
+	nodes := 0
 	buf[0], acc[0], prv[0] = buffer, 0, prev
 	next[0] = 0
-	last := steps - 1
 	d := 0
 	for d >= 0 {
-		if next[d] == 0 && prune && acc[d]+optimistic[d] <= bestQoE {
-			d-- // even a perfect completion cannot win
-			continue
+		if next[d] == 0 {
+			nodes++
+			if prune && acc[d]+bound[d*w+prv[d]+1] <= cut {
+				d-- // even the ladder bound cannot win
+				continue
+			}
 		}
+		p := prv[d]
+		qp := qual[max(p, 0)]
 		if d == last {
-			b, a, p := buf[d], acc[d], prv[d]
+			b, a := buf[d], acc[d]
 			for lvl, dl := range dlTab[d*levels : d*levels+levels] {
-				rebuffer := max(dl-b, 0)
-				afterDrain := max(b-dl, 0) + chunkDur
-				wait := max(afterDrain-bufMax, 0)
-
-				gain := qual[lvl] - mu*rebuffer
-				if p >= 0 {
-					gain -= lambda * math.Abs(qual[lvl]-qual[p])
-				}
-				if total := a + gain + terminal*(afterDrain-wait); total > bestQoE {
-					bestQoE = total
+				gain, after := cm.score(qual[lvl], qp, p >= 0, dl, b)
+				if total := a + gain + terminal*after; total > bestQoE {
+					bestQoE, cut, found = total, slackBelow(total), true
 					choice[d] = lvl
 					bestFirst = choice[0]
 				}
@@ -246,21 +348,42 @@ func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels i
 		}
 		next[d] = lvl + 1
 
-		dl := dlTab[d*levels+lvl]
-		rebuffer := max(dl-buf[d], 0)
-		afterDrain := max(buf[d]-dl, 0) + chunkDur
-		wait := max(afterDrain-bufMax, 0)
-
-		gain := qual[lvl] - mu*rebuffer
-		if p := prv[d]; p >= 0 {
-			gain -= lambda * math.Abs(qual[lvl]-qual[p])
-		}
+		gain, after := cm.score(qual[lvl], qp, p >= 0, dlTab[d*levels+lvl], buf[d])
 		choice[d] = lvl
-		buf[d+1] = afterDrain - wait
+		buf[d+1] = after
 		acc[d+1] = acc[d] + gain
 		prv[d+1] = lvl
 		next[d+1] = 0
 		d++
 	}
-	return bestFirst, bestQoE
+	s.nodes += nodes
+	return bestFirst, bestQoE, found
+}
+
+// rollout returns the total of the plan that takes, at every depth, the
+// lowest level maximizing its real gain plus the ladder bound below it,
+// summed in the search's order so a leaf scoring that plan gets the same
+// value.
+func (o *Optimizer) rollout(s *Scratch, cm chunkModel, b float64, p int, steps, levels int) float64 {
+	w := levels + 1
+	a := 0.0
+	for d := 0; d < steps; d++ {
+		qp := s.qual[max(p, 0)]
+		pick, pickGain, pickBuf, pickVal := 0, 0.0, 0.0, math.Inf(-1)
+		for lvl, dl := range s.dl[d*levels : (d+1)*levels] {
+			gain, after := cm.score(s.qual[lvl], qp, p >= 0, dl, b)
+			if v := gain + s.bound[(d+1)*w+lvl+1]; v > pickVal {
+				pick, pickGain, pickBuf, pickVal = lvl, gain, after, v
+			}
+		}
+		if math.IsInf(pickVal, -1) {
+			break // no level scores (NaN or −∞): no incumbent
+		}
+		if d == steps-1 {
+			return a + pickGain + o.TerminalBufferWeight*pickBuf
+		}
+		a += pickGain
+		b, p = pickBuf, pick
+	}
+	return math.Inf(-1)
 }

@@ -4,10 +4,11 @@ import "sync"
 
 // Scratch holds the reusable working memory for one Plan solve: the padded
 // horizon forecast, the per-solve download-time table, the branch-and-bound
-// optimistic bounds, the per-level quality values hoisted out of the
+// ladder bound, the per-level quality values hoisted out of the
 // enumeration, and the explicit depth-first traversal stacks that replace
-// the recursive closure. A Scratch grows to fit the largest (horizon, ladder) it has seen and is
-// then reused allocation-free; the zero value is ready to use.
+// the recursive closure. A Scratch grows to fit the largest (horizon,
+// ladder) it has seen and is then reused allocation-free; the zero value
+// is ready to use.
 //
 // A Scratch is owned by exactly one goroutine at a time. Optimizer.Plan
 // draws one from an internal pool, so it stays safe for concurrent use;
@@ -15,10 +16,16 @@ import "sync"
 // FastMPC table builder workers) hold their own Scratch and call
 // Optimizer.PlanScratch directly for a zero-allocation steady state.
 type Scratch struct {
-	rates      []float64 // horizon forecast, padded and floored at minRate
-	dl         []float64 // dl[d*levels+lvl]: ChunkSize(k+d, lvl) / rates[d]
-	optimistic []float64 // optimistic[d]: QoE bound attainable from depth d
-	qual       []float64 // Quality(Ladder[lvl]) per level, computed per solve
+	rates []float64 // horizon forecast, padded and floored at minRate
+	dl    []float64 // dl[d*levels+lvl]: ChunkSize(k+d, lvl) / rates[d]
+	qual  []float64 // Quality(Ladder[lvl]) per level, computed per solve
+	caps  []float64 // caps[d]: upper bound on the buffer entering depth d
+	bound []float64 // bound[d*(levels+1)+p+1]: U_d(p), see ladderBound
+	head  []float64 // one bound row before its switching costs
+
+	// nodes counts the DFS nodes the last solve entered, summed over the
+	// whole Ts grid of a startup solve.
+	nodes int
 
 	// Iterative DFS stacks, indexed by depth d ∈ [0, steps); the last
 	// depth scores its leaves in place and pushes nothing.
@@ -34,8 +41,10 @@ type Scratch struct {
 func (s *Scratch) grow(steps, levels int) {
 	s.rates = growFloats(s.rates, steps)
 	s.dl = growFloats(s.dl, steps*levels)
-	s.optimistic = growFloats(s.optimistic, steps+1)
 	s.qual = growFloats(s.qual, levels)
+	s.caps = growFloats(s.caps, steps+1)
+	s.bound = growFloats(s.bound, (steps+1)*(levels+1))
+	s.head = growFloats(s.head, levels)
 	s.buf = growFloats(s.buf, steps)
 	s.acc = growFloats(s.acc, steps)
 	s.prv = growInts(s.prv, steps)

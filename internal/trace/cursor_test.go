@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -296,14 +297,62 @@ func FuzzDownloadTimes(f *testing.F) {
 	})
 }
 
-// TestFuzzCorpusCommitted keeps testdata/fuzz/FuzzDownloadTimes in sync
-// with downloadTimesSeeds.
-func TestFuzzCorpusCommitted(t *testing.T) {
-	problems, err := fuzzcorpus.Sync(filepath.Join("testdata", "fuzz", "FuzzDownloadTimes"), downloadTimesSeeds())
-	if err != nil {
-		t.Fatal(err)
+// traceReadSeeds is the committed seed corpus for FuzzTraceRead: a plain
+// trace, a NaN and an infinite duration, two durations whose sum
+// overflows, and a rate so low that 50 kilobits take more passes than a
+// float64 holds.
+func traceReadSeeds() [][]byte {
+	return [][]byte{
+		[]byte("# trace ok\n1 1000\n0.5 0\n2 350.5\n"),
+		[]byte("NaN 100\n"),
+		[]byte("+Inf 0\n"),
+		[]byte("1e308 1\n1e308 1\n"),
+		[]byte("1 1e-320\n"),
 	}
-	for _, p := range problems {
-		t.Error(p)
+}
+
+// FuzzTraceRead: trace files are untrusted input, so Read either errors or
+// returns a trace whose Duration and Mean are finite and whose
+// DownloadTime(0, 50) is not NaN. That download is +Inf only when the
+// trace never delivers 50 kilobits in a float64 count of seconds: an
+// all-zero trace, or one so slow that 50/Mean overflows what a pass
+// count can hold.
+func FuzzTraceRead(f *testing.F) {
+	for _, s := range traceReadSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data), "fuzz")
+		if err != nil {
+			return
+		}
+		dur, mean := tr.Duration(), tr.Mean()
+		if math.IsNaN(dur) || math.IsInf(dur, 0) || math.IsNaN(mean) || math.IsInf(mean, 0) {
+			t.Fatalf("Duration %v, Mean %v: want both finite", dur, mean)
+		}
+		dl := tr.DownloadTime(0, 50)
+		if math.IsNaN(dl) {
+			t.Fatalf("DownloadTime(0, 50) = NaN (Duration %v, Mean %v)", dur, mean)
+		}
+		if math.IsInf(dl, 0) && mean > 0 && 50/mean < 1e300 {
+			t.Fatalf("DownloadTime(0, 50) = %v on a trace with mean rate %v", dl, mean)
+		}
+	})
+}
+
+// TestFuzzCorpusCommitted keeps testdata/fuzz/FuzzDownloadTimes and
+// testdata/fuzz/FuzzTraceRead in sync with their seed lists.
+func TestFuzzCorpusCommitted(t *testing.T) {
+	for target, seeds := range map[string][][]byte{
+		"FuzzDownloadTimes": downloadTimesSeeds(),
+		"FuzzTraceRead":     traceReadSeeds(),
+	} {
+		problems, err := fuzzcorpus.Sync(filepath.Join("testdata", "fuzz", target), seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range problems {
+			t.Errorf("%s: %s", target, p)
+		}
 	}
 }

@@ -32,7 +32,8 @@ type Trace struct {
 }
 
 // New constructs a trace from samples, validating that every segment has
-// positive duration and non-negative rate.
+// a positive finite duration and a non-negative finite rate, and that the
+// trace's total duration and volume stay finite.
 func New(name string, samples []Sample) (*Trace, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("trace %q: no samples", name)
@@ -44,14 +45,17 @@ func New(name string, samples []Sample) (*Trace, error) {
 		cumKb:   make([]float64, len(samples)+1),
 	}
 	for i, s := range samples {
-		if s.Duration <= 0 {
-			return nil, fmt.Errorf("trace %q: sample %d has non-positive duration %v", name, i, s.Duration)
+		if !(s.Duration > 0) || math.IsInf(s.Duration, 1) {
+			return nil, fmt.Errorf("trace %q: sample %d has invalid duration %v", name, i, s.Duration)
 		}
 		if s.Kbps < 0 || math.IsNaN(s.Kbps) || math.IsInf(s.Kbps, 0) {
 			return nil, fmt.Errorf("trace %q: sample %d has invalid rate %v", name, i, s.Kbps)
 		}
 		t.cumDur[i+1] = t.cumDur[i] + s.Duration
 		t.cumKb[i+1] = t.cumKb[i] + s.Duration*s.Kbps
+		if math.IsInf(t.cumDur[i+1], 1) || math.IsInf(t.cumKb[i+1], 1) {
+			return nil, fmt.Errorf("trace %q: samples 0..%d overflow the total duration or volume", name, i)
+		}
 	}
 	return t, nil
 }
@@ -174,6 +178,9 @@ func (c Cursor) DownloadTime(kilobits float64) float64 {
 		elapsed += t.Duration() - pos
 		pos, seg, base = 0, 0, 0
 		passes := math.Floor(kilobits / perPass)
+		if math.IsInf(passes, 1) {
+			return math.Inf(1) // more passes than float64 counts
+		}
 		if kilobits == passes*perPass { //lint:allow floateq exact pass-boundary landing; both sides derive from the same floor()
 			passes-- // land exactly at a pass boundary: finish within the last one
 		}

@@ -30,6 +30,12 @@ func TestNewValidation(t *testing.T) {
 		{"negative rate", []Sample{{1, -5}}, true},
 		{"nan rate", []Sample{{1, math.NaN()}}, true},
 		{"inf rate", []Sample{{1, math.Inf(1)}}, true},
+		{"nan duration", []Sample{{math.NaN(), 100}}, true},
+		{"inf duration", []Sample{{math.Inf(1), 0}}, true},
+		{"duration sum overflows", []Sample{{1e308, 1}, {1e308, 1}}, true},
+		{"volume overflows", []Sample{{1e300, 1e10}}, true},
+		{"volume sum overflows", []Sample{{1, 1e308}, {1, 1e308}}, true},
+		{"largest finite", []Sample{{1e308, 1}}, false},
 		{"valid", []Sample{{1, 100}, {2, 200}}, false},
 		{"zero rate ok", []Sample{{1, 0}, {1, 100}}, false},
 	}

@@ -70,10 +70,21 @@ bench-solver:
 bench-svc:
 	$(GO) test -run TestSvcPerformance -count=1 -v .
 
-# trace-demo plays the loopback emulation and writes a Chrome trace-event
+# trace-demo serves a 20-chunk video from dashserver on 127.0.0.1:8931,
+# waits for its "serving" line, plays it with dashclient (RobustMPC, both
+# 20x time-compressed), and writes the session's Chrome trace-event
 # timeline; open trace_demo.json in chrome://tracing or ui.perfetto.dev.
+# The server is stopped and waited for when the recipe exits, however it
+# exits.
 trace-demo:
-	$(GO) run ./examples/emulation -trace-out trace_demo.json
+	@tmp=$$(mktemp -d); srv=; trap 'test -n "$$srv" && kill $$srv && wait $$srv; rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/" ./cmd/dashserver ./cmd/dashclient || exit 1; \
+	"$$tmp/dashserver" -addr 127.0.0.1:8931 -chunks 20 -scale 20 > "$$tmp/server.out" & srv=$$!; \
+	i=0; until grep -q serving "$$tmp/server.out"; do \
+		i=$$((i+1)); test $$i -le 100 || { echo "trace-demo: dashserver did not start" >&2; exit 1; }; sleep 0.1; \
+	done; \
+	cat "$$tmp/server.out"; \
+	"$$tmp/dashclient" -url http://127.0.0.1:8931 -scale 20 -trace-out trace_demo.json
 
 # fleet-demo drives the built-in 10k-session scenario (RobustMPC vs
 # buffer-based populations over an fcc+hsdpa trace mix) on the simulated

@@ -38,7 +38,7 @@ func BenchmarkExperiments(b *testing.B) {
 		}
 		b.Run(e.Key, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := e.Run(cfg); err != nil {
+				if err := e.Run(cfg, io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}

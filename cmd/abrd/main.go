@@ -4,7 +4,7 @@
 // table-lookup cost, sharing one decision table across every session with
 // an equal configuration. SIGINT/SIGTERM drains gracefully: the listener
 // closes, in-flight decisions complete (bounded by -drain), and the trace
-// sink is flushed before exit.
+// sink is flushed before exit. A second signal ends the process at once.
 //
 // Usage:
 //
@@ -15,32 +15,36 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"mpcdash/internal/abrsvc"
+	"mpcdash/internal/cli"
 	"mpcdash/internal/fastmpc"
 	"mpcdash/internal/obs"
 )
 
-func main() {
+func main() { cli.MainStoppable(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("abrd", stderr)
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8404", "listen address")
-		maxSessions = flag.Int("max-sessions", 0, "max resident sessions (0 = default 65536)")
-		sessionTTL  = flag.Duration("session-ttl", 0, "evict sessions idle longer than this (0 = default 5m)")
-		maxInflight = flag.Int("max-inflight", 0, "max concurrently executing decide requests (0 = 4×GOMAXPROCS)")
-		queueDepth  = flag.Int("queue-depth", 0, "decide queue depth before immediate shedding (0 = 8×max-inflight)")
-		queueWait   = flag.Duration("queue-wait", 0, "max time a decide request may queue before shedding (0 = default 100ms)")
-		fairness    = flag.Bool("fairness", false, "enable link-group fair-share throughput capping")
-		tableCache  = flag.String("table-cache", "", "directory for the persistent FastMPC table cache (empty = memory only)")
-		traceOut    = flag.String("trace-out", "", "write per-decision Chrome trace events to this file (empty = disabled)")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
+		addr        = fs.String("addr", "127.0.0.1:8404", "listen address")
+		maxSessions = fs.Int("max-sessions", 0, "max resident sessions (0 = default 65536)")
+		sessionTTL  = fs.Duration("session-ttl", 0, "evict sessions idle longer than this (0 = default 5m)")
+		maxInflight = fs.Int("max-inflight", 0, "max concurrently executing decide requests (0 = 4×GOMAXPROCS)")
+		queueDepth  = fs.Int("queue-depth", 0, "decide queue depth before immediate shedding (0 = 8×max-inflight)")
+		queueWait   = fs.Duration("queue-wait", 0, "max time a decide request may queue before shedding (0 = default 100ms)")
+		fairness    = fs.Bool("fairness", false, "enable link-group fair-share throughput capping")
+		tableCache  = fs.String("table-cache", "", "directory for the persistent FastMPC table cache (empty = memory only)")
+		traceOut    = fs.String("trace-out", "", "write per-decision Chrome trace events to this file (empty = disabled)")
+		drain       = fs.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseStatus(err)
+	}
 
 	if *tableCache != "" {
 		fastmpc.SetTableCacheDir(*tableCache)
@@ -50,7 +54,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
 		defer f.Close()
 		sink = obs.NewChromeTrace(f)
@@ -70,27 +74,20 @@ func main() {
 	})
 	srv, err := svc.Start(*addr)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
-	fmt.Printf("abrd: decision API at %s/v1, metrics at %s/metrics\n", srv.URL(), srv.URL())
+	fmt.Fprintf(stdout, "abrd: decision API at %s/v1, metrics at %s/metrics\n", srv.URL(), srv.URL())
 	if *fairness {
-		fmt.Println("abrd: link-group fairness enabled")
+		fmt.Fprintln(stdout, "abrd: link-group fairness enabled")
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	fmt.Printf("abrd: %v received, draining (deadline %s)\n", s, *drain)
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	<-ctx.Done()
+	fmt.Fprintf(stdout, "abrd: %v received, draining (deadline %s)\n", context.Cause(ctx), *drain)
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drain)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fatal(fmt.Errorf("drain: %w", err))
+	if err := srv.Shutdown(dctx); err != nil {
+		return cli.Fail(fs, fmt.Errorf("drain: %w", err))
 	}
-	fmt.Println("abrd: drained cleanly")
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "abrd: %v\n", err)
-	os.Exit(1)
+	fmt.Fprintln(stdout, "abrd: drained cleanly")
+	return 0
 }

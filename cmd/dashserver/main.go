@@ -1,8 +1,10 @@
 // Command dashserver runs the shaped HTTP chunk origin: it serves the DASH
 // manifest and media segments of a synthetic test video over a link whose
 // throughput follows a trace, standing in for the paper's node.js server
-// plus `tc` throttling. Point any HTTP client (or the examples/emulation
-// player) at it.
+// plus `tc` throttling. Point any HTTP client (or cmd/dashclient) at it.
+// SIGINT/SIGTERM drains gracefully: the listener closes and in-flight
+// chunk downloads finish, bounded by -drain. A second signal ends the
+// process at once.
 //
 // Usage:
 //
@@ -12,96 +14,87 @@ package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
+	"mpcdash/internal/cli"
 	"mpcdash/internal/emu"
 	"mpcdash/internal/model"
 	"mpcdash/internal/obs"
 	"mpcdash/internal/trace"
 )
 
-func main() {
+func main() { cli.MainStoppable(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("dashserver", stderr)
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		dataset     = flag.String("dataset", "fcc", "link trace model: fcc, hsdpa, synthetic")
-		seed        = flag.Int64("seed", 1, "trace seed")
-		chunks      = flag.Int("chunks", 65, "video length in 4-second chunks")
-		scale       = flag.Float64("scale", 1, "time-compression factor (media s per wall s)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty = disabled)")
-		drain       = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight downloads on SIGINT/SIGTERM")
+		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
+		dataset     = fs.String("dataset", "fcc", "link trace model: fcc, hsdpa, synthetic")
+		seed        = fs.Int64("seed", 1, "trace seed")
+		chunks      = fs.Int("chunks", 65, "video length in 4-second chunks")
+		scale       = fs.Float64("scale", 1, "time-compression factor (media s per wall s)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty = disabled)")
+		drain       = fs.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight downloads on SIGINT/SIGTERM")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseStatus(err)
+	}
 
 	m, err := model.NewCBRManifest(model.EnvivioLadder(), *chunks, 4)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
-
-	var kind trace.DatasetKind
-	switch strings.ToLower(*dataset) {
-	case "fcc":
-		kind = trace.FCC
-	case "hsdpa":
-		kind = trace.HSDPA
-	case "synthetic":
-		kind = trace.Synthetic
-	default:
-		fatal(fmt.Errorf("unknown dataset %q", *dataset))
+	kind, err := trace.ParseKind(*dataset)
+	if err != nil {
+		return cli.Fail(fs, err)
 	}
 	tr := trace.Dataset(kind, 1, m.Duration()+120, *seed)[0]
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
-	}
+	// The metrics endpoint ends with the server, whichever way run returns.
+	debugCtx, stopDebug := context.WithCancel(ctx)
+	defer stopDebug()
 	srv := emu.NewServer(m)
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
 		srv.Instrument(reg)
 		obs.PublishExpvar("mpcdash", reg)
-		dbg, err := obs.ServeDebug(*metricsAddr, reg)
+		dbg, err := obs.ServeDebug(debugCtx, *metricsAddr, reg)
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
-		fmt.Printf("dashserver: metrics at http://%s/metrics, profiles at http://%s/debug/pprof/\n", dbg, dbg)
+		fmt.Fprintf(stdout, "dashserver: metrics at http://%s/metrics, profiles at http://%s/debug/pprof/\n", dbg, dbg)
+	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return cli.Fail(fs, err)
 	}
 	shaped := emu.NewListener(ln, emu.NewShaper(tr.Scale(*scale, *scale)))
 
-	fmt.Printf("dashserver: serving %d-chunk video at http://%s/manifest.mpd\n", *chunks, ln.Addr())
-	fmt.Printf("dashserver: link shaped by %s (mean %.0f kbps), time scale %gx\n", tr.Name, tr.Mean(), *scale)
+	fmt.Fprintf(stdout, "dashserver: serving %d-chunk video at http://%s/manifest.mpd\n", *chunks, ln.Addr())
+	fmt.Fprintf(stdout, "dashserver: link shaped by %s (mean %.0f kbps), time scale %gx\n", tr.Name, tr.Mean(), *scale)
 
-	// SIGINT/SIGTERM drains gracefully: stop accepting, let in-flight chunk
-	// downloads finish (bounded by -drain), then exit.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
 	go func() { done <- srv.ServeOn(shaped) }()
 	select {
 	case err := <-done:
-		if err != nil && err != http.ErrServerClosed {
-			fatal(err)
+		if err != nil && !errors.Is(err, http.ErrServerClosed) {
+			return cli.Fail(fs, err)
 		}
-	case s := <-sig:
-		fmt.Printf("dashserver: %v received, draining (deadline %s)\n", s, *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	case <-ctx.Done():
+		fmt.Fprintf(stdout, "dashserver: %v received, draining (deadline %s)\n", context.Cause(ctx), *drain)
+		dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drain)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fatal(fmt.Errorf("drain: %w", err))
-		}
+		err := srv.Shutdown(dctx)
 		<-done
-		fmt.Println("dashserver: drained cleanly")
+		if err != nil {
+			return cli.Fail(fs, fmt.Errorf("drain: %w", err))
+		}
+		fmt.Fprintln(stdout, "dashserver: drained cleanly")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "dashserver: %v\n", err)
-	os.Exit(1)
+	return 0
 }

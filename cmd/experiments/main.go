@@ -11,53 +11,62 @@
 // without -fig every entry runs in that order. Timings (each entry's run
 // time, Table 1's build times and the overhead section's per-decision
 // costs) go to stderr, so stdout depends only on -traces and -seed.
+// SIGINT/SIGTERM stops the run once the entry in progress is done (exit
+// status 130); a second one ends it at once.
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
+	"io"
+	"slices"
 	"strings"
 	"time"
 
+	"mpcdash/internal/cli"
 	"mpcdash/internal/experiments"
 )
 
-func main() {
+func main() { cli.MainStoppable(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	keys := make([]string, len(experiments.All))
 	for i, e := range experiments.All {
 		keys[i] = e.Key
 	}
+	fs := cli.NewFlagSet("experiments", stderr)
 	var (
-		traces = flag.Int("traces", 100, "traces per dataset")
-		seed   = flag.Int64("seed", 42, "base workload seed")
-		fig    = flag.String("fig", "", "experiment to run ("+strings.Join(keys, ", ")+"); empty runs all")
+		traces = fs.Int("traces", 100, "traces per dataset")
+		seed   = fs.Int64("seed", 42, "base workload seed")
+		fig    = fs.String("fig", "", "experiment to run ("+strings.Join(keys, ", ")+"); empty runs all")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseStatus(err)
+	}
 
 	selected := experiments.All
 	if *fig != "" {
-		selected = nil
-		for _, e := range experiments.All {
-			if e.Key == *fig {
-				selected = append(selected, e)
-			}
+		i := slices.Index(keys, *fig)
+		if i < 0 {
+			fmt.Fprintf(stderr, "experiments: unknown experiment %q (have %s)\n", *fig, strings.Join(keys, ", "))
+			return 2
 		}
-		if selected == nil {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (have %s)\n", *fig, strings.Join(keys, ", "))
-			os.Exit(2)
-		}
+		selected = selected[i : i+1]
 	}
 
-	cfg := experiments.Config{TraceCount: *traces, Seed: *seed, Out: os.Stdout}
+	cfg := experiments.Config{TraceCount: *traces, Seed: *seed, Out: stdout}
 	for _, e := range selected {
-		start := time.Now()
-		fmt.Printf("=== %s (traces=%d seed=%d) ===\n", e.Title, *traces, *seed)
-		if err := e.Run(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Title, err)
-			os.Exit(1)
+		if ctx.Err() != nil {
+			fmt.Fprintf(stderr, "experiments: %v received, stopping before %s\n", context.Cause(ctx), e.Title)
+			return 130
 		}
-		fmt.Fprintf(os.Stderr, "--- %s done in %s ---\n", e.Title, time.Since(start).Round(time.Millisecond))
-		fmt.Println()
+		start := time.Now()
+		fmt.Fprintf(stdout, "=== %s (traces=%d seed=%d) ===\n", e.Title, *traces, *seed)
+		if err := e.Run(cfg, stderr); err != nil {
+			return cli.Fail(fs, fmt.Errorf("%s: %w", e.Title, err))
+		}
+		fmt.Fprintf(stderr, "--- %s done in %s ---\n", e.Title, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }

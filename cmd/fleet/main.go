@@ -6,45 +6,50 @@
 //
 //	fleet [-scenario scenario.json | -sessions N] [-backend sim|emu|svc]
 //	      [-svc-url http://host:8404] [-max-inflight N]
-//	      [-seed N] [-workers N] [-report out.json]
+//	      [-seed N] [-report out.json]
 //	      [-metrics-addr 127.0.0.1:9090] [-print-scenario]
 //
 // Without -scenario a built-in two-population demo scenario sized by
 // -sessions is used; -print-scenario writes that scenario as JSON to
-// stdout (a starting point for custom files) and exits. SIGINT drains
-// gracefully: launching stops, in-flight sessions finish and are
-// aggregated, and the partial report is still printed.
+// stdout (a starting point for custom files) and exits. SIGINT/SIGTERM
+// drains gracefully: launching stops, in-flight sessions finish and are
+// aggregated, the partial report is still printed, and the exit status
+// is 130. A second signal ends the process at once.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"time"
 
+	"mpcdash/internal/cli"
 	"mpcdash/internal/fastmpc"
 	"mpcdash/internal/fleet"
 	"mpcdash/internal/obs"
 )
 
-func main() {
+func main() { cli.MainStoppable(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("fleet", stderr)
 	var (
-		scenarioFile  = flag.String("scenario", "", "scenario JSON file (empty = built-in demo scenario)")
-		sessions      = flag.Int("sessions", 10000, "total sessions for the built-in scenario (ignored with -scenario)")
-		backend       = flag.String("backend", fleet.BackendSim, "session backend: sim (scales to 100k), emu (real loopback HTTP) or svc (decisions from a live abrd decision service)")
-		svcURL        = flag.String("svc-url", "", "svc backend: external abrd base URL (empty = self-host one on 127.0.0.1:0 for the run)")
-		maxInflight   = flag.Int("max-inflight", 0, "override the scenario's max concurrently playing sessions (0 = keep the scenario's value)")
-		seed          = flag.Int64("seed", 0, "override the scenario seed (0 = keep the file's seed)")
-		workers       = flag.Int("workers", 0, "worker goroutines per population (0 = auto)")
-		emuTimeScale  = flag.Float64("emu-timescale", 0, "wall-clock compression for the emu backend (0 = default)")
-		tableCache    = flag.String("table-cache", "", "directory for the content-addressed FastMPC table cache; warm runs skip the table build (empty = disabled)")
-		reportOut     = flag.String("report", "", "write the JSON report to this file")
-		metricsAddr   = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run (empty = disabled)")
-		printScenario = flag.Bool("print-scenario", false, "print the effective scenario as JSON and exit")
+		scenarioFile  = fs.String("scenario", "", "scenario JSON file (empty = built-in demo scenario)")
+		sessions      = fs.Int("sessions", 10000, "total sessions for the built-in scenario (ignored with -scenario)")
+		backend       = fs.String("backend", fleet.BackendSim, "session backend: sim (scales to 100k), emu (real loopback HTTP) or svc (decisions from a live abrd decision service)")
+		svcURL        = fs.String("svc-url", "", "svc backend: external abrd base URL (empty = self-host one on 127.0.0.1:0 for the run)")
+		maxInflight   = fs.Int("max-inflight", 0, "override the scenario's max concurrently playing sessions (0 = keep the scenario's value)")
+		seed          = fs.Int64("seed", 0, "override the scenario seed (0 = keep the file's seed)")
+		emuTimeScale  = fs.Float64("emu-timescale", 0, "wall-clock compression for the emu backend (0 = default)")
+		tableCache    = fs.String("table-cache", "", "directory for the content-addressed FastMPC table cache; warm runs skip the table build (empty = disabled)")
+		reportOut     = fs.String("report", "", "write the JSON report to this file")
+		metricsAddr   = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run (empty = disabled)")
+		printScenario = fs.Bool("print-scenario", false, "print the effective scenario as JSON and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseStatus(err)
+	}
 
 	sc := fleet.DefaultScenario(*sessions)
 	if *backend == fleet.BackendSvc {
@@ -56,7 +61,7 @@ func main() {
 		var err error
 		sc, err = fleet.LoadScenario(*scenarioFile)
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
 	}
 	if *seed != 0 {
@@ -66,92 +71,84 @@ func main() {
 		sc.MaxInFlight = *maxInflight
 	}
 	if *printScenario {
-		if err := sc.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
+		if err := sc.WriteJSON(stdout); err != nil {
+			return cli.Fail(fs, err)
 		}
-		return
+		return 0
 	}
 
 	opt := fleet.Options{
 		Backend:       *backend,
-		Workers:       *workers,
 		EmuTimeScale:  *emuTimeScale,
 		TableCacheDir: *tableCache,
 		SvcURL:        *svcURL,
 	}
 	if *metricsAddr != "" {
+		// The metrics endpoint lives until run returns, past a drain.
+		debugCtx, stopDebug := context.WithCancel(context.WithoutCancel(ctx))
+		defer stopDebug()
 		reg := obs.NewRegistry()
 		obs.PublishExpvar("fleet", reg)
-		dbg, err := obs.ServeDebug(*metricsAddr, reg)
+		dbg, err := obs.ServeDebug(debugCtx, *metricsAddr, reg)
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
-		fmt.Printf("metrics at http://%s/metrics, profiles at http://%s/debug/pprof/\n", dbg, dbg)
+		fmt.Fprintf(stdout, "metrics at http://%s/metrics, profiles at http://%s/debug/pprof/\n", dbg, dbg)
 		opt.Registry = reg
 	}
 
 	f, err := fleet.New(sc, opt)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	var total int
 	for _, p := range sc.Populations {
 		total += p.Sessions
 	}
-	fmt.Printf("scenario %q: %d sessions in %d populations on the %s backend (seed %d)\n",
+	fmt.Fprintf(stdout, "scenario %q: %d sessions in %d populations on the %s backend (seed %d)\n",
 		sc.Name, total, len(sc.Populations), *backend, sc.Seed)
 
 	start := time.Now()
 	rep, runErr := f.Run(ctx)
 	elapsed := time.Since(start)
 	if runErr == context.Canceled {
-		fmt.Println("interrupted: drained in-flight sessions, reporting the partial run")
+		fmt.Fprintln(stdout, "interrupted: drained in-flight sessions, reporting the partial run")
 	} else if runErr != nil {
-		fatal(runErr)
+		return cli.Fail(fs, runErr)
 	}
 
-	fmt.Println()
-	if err := rep.WriteTable(os.Stdout); err != nil {
-		fatal(err)
+	fmt.Fprintln(stdout)
+	if err := rep.WriteTable(stdout); err != nil {
+		return cli.Fail(fs, err)
 	}
 	var completed int64
 	for _, p := range rep.Populations {
 		completed += p.Completed
 	}
-	fmt.Printf("\n%d sessions in %.2f s (%.0f sessions/s)\n",
+	fmt.Fprintf(stdout, "\n%d sessions in %.2f s (%.0f sessions/s)\n",
 		completed, elapsed.Seconds(), float64(completed)/elapsed.Seconds())
 	if st := fastmpc.TableCacheStats(); st.Builds+st.DiskHits+st.MemoryHits > 0 {
-		fmt.Printf("fastmpc tables: %d built, %d loaded from %s, %d shared in-process\n",
-			st.Builds, st.DiskHits, cacheName(*tableCache), st.MemoryHits)
+		cache := *tableCache
+		if cache == "" {
+			cache = "disk (disabled)"
+		}
+		fmt.Fprintf(stdout, "fastmpc tables: %d built, %d loaded from %s, %d shared in-process\n",
+			st.Builds, st.DiskHits, cache, st.MemoryHits)
 	}
 
 	if *reportOut != "" {
 		b, err := rep.JSON()
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
 		if err := os.WriteFile(*reportOut, b, 0o644); err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
-		fmt.Printf("report written to %s\n", *reportOut)
+		fmt.Fprintf(stdout, "report written to %s\n", *reportOut)
 	}
 	if runErr != nil {
-		os.Exit(130)
+		return 130
 	}
-}
-
-func cacheName(dir string) string {
-	if dir == "" {
-		return "disk (disabled)"
-	}
-	return dir
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-	os.Exit(1)
+	return 0
 }

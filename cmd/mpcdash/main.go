@@ -12,81 +12,84 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"mpcdash"
+	"mpcdash/internal/cli"
 	"mpcdash/internal/obs"
 	"mpcdash/internal/trace"
 	"mpcdash/internal/viz"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("mpcdash", stderr)
 	var (
-		algName     = flag.String("alg", "RobustMPC", "algorithm: RB, BB, FESTIVE, dash.js, MPC, RobustMPC, FastMPC, MPC-OPT")
-		dataset     = flag.String("dataset", "fcc", "synthetic dataset when no -trace: fcc, hsdpa, synthetic")
-		seed        = flag.Int64("seed", 1, "trace generator seed")
-		file        = flag.String("trace", "", "trace file (text format) instead of a generated trace")
-		chunks      = flag.Int("chunks", 65, "video length in 4-second chunks")
-		verbose     = flag.Bool("verbose", false, "print the per-chunk log")
-		jsonOut     = flag.String("json", "", "write the full session log as JSON to this file")
-		csvOut      = flag.String("csv", "", "write the per-chunk log as CSV to this file")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of the session to this file")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run (empty = disabled)")
+		algName     = fs.String("alg", "RobustMPC", "algorithm: RB, BB, FESTIVE, dash.js, MPC, RobustMPC, FastMPC, MPC-OPT")
+		dataset     = fs.String("dataset", "fcc", "synthetic dataset when no -trace: fcc, hsdpa, synthetic")
+		seed        = fs.Int64("seed", 1, "trace generator seed")
+		file        = fs.String("trace", "", "trace file (text format) instead of a generated trace")
+		chunks      = fs.Int("chunks", 65, "video length in 4-second chunks")
+		verbose     = fs.Bool("verbose", false, "print the per-chunk log")
+		jsonOut     = fs.String("json", "", "write the full session log as JSON to this file")
+		csvOut      = fs.String("csv", "", "write the per-chunk log as CSV to this file")
+		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON of the session to this file")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run (empty = disabled)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseStatus(err)
+	}
 
 	video, err := mpcdash.NewVideo([]float64{350, 600, 1000, 2000, 3000}, *chunks, 4)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 
-	var alg mpcdash.Algorithm
-	found := false
-	for _, a := range mpcdash.Algorithms() {
-		if strings.EqualFold(a.String(), *algName) {
-			alg, found = a, true
-			break
-		}
-	}
-	if !found {
-		fatal(fmt.Errorf("unknown algorithm %q", *algName))
+	algs := mpcdash.Algorithms()
+	i := slices.IndexFunc(algs, func(a mpcdash.Algorithm) bool { return strings.EqualFold(a.String(), *algName) })
+	if i < 0 {
+		return cli.Fail(fs, fmt.Errorf("unknown algorithm %q", *algName))
 	}
 
 	tr, err := loadTrace(*file, *dataset, *seed, video.Duration())
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 
 	cfg := mpcdash.DefaultConfig()
 	if *metricsAddr != "" {
+		ctx, stopDebug := context.WithCancel(ctx)
+		defer stopDebug()
 		reg := obs.NewRegistry()
 		obs.PublishExpvar("mpcdash", reg)
-		dbg, err := obs.ServeDebug(*metricsAddr, reg)
+		dbg, err := obs.ServeDebug(ctx, *metricsAddr, reg)
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
-		fmt.Printf("metrics at http://%s/metrics, profiles at http://%s/debug/pprof/\n", dbg, dbg)
+		fmt.Fprintf(stdout, "metrics at http://%s/metrics, profiles at http://%s/debug/pprof/\n", dbg, dbg)
 		cfg.Obs = obs.NewRecorder(reg, nil)
 	}
 
-	res, err := mpcdash.Run(video, tr, alg, cfg)
+	res, err := mpcdash.Run(video, tr, algs[i], cfg)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 
-	fmt.Printf("algorithm     %s\n", res.Algorithm)
-	fmt.Printf("trace         %s (mean %.0f kbps, stddev %.0f kbps)\n", tr.Name(), tr.Mean(), tr.Stddev())
-	fmt.Printf("QoE           %.0f\n", res.QoE)
-	fmt.Printf("normalized    %.3f\n", res.NormQoE)
-	fmt.Printf("avg bitrate   %.0f kbps\n", res.Metrics.AvgBitrate)
-	fmt.Printf("avg change    %.0f kbps/chunk (%d switches)\n", res.Metrics.AvgBitrateChange, res.Metrics.Switches)
-	fmt.Printf("rebuffer      %.2f s in %d events\n", res.Metrics.RebufferTime, res.Metrics.RebufferEvents)
-	fmt.Printf("startup       %.2f s\n", res.Metrics.StartupDelay)
-	fmt.Printf("pred error    %.1f%%\n", res.PredError*100)
+	fmt.Fprintf(stdout, "algorithm     %s\n", res.Algorithm)
+	fmt.Fprintf(stdout, "trace         %s (mean %.0f kbps, stddev %.0f kbps)\n", tr.Name(), tr.Mean(), tr.Stddev())
+	fmt.Fprintf(stdout, "QoE           %.0f\n", res.QoE)
+	fmt.Fprintf(stdout, "normalized    %.3f\n", res.NormQoE)
+	fmt.Fprintf(stdout, "avg bitrate   %.0f kbps\n", res.Metrics.AvgBitrate)
+	fmt.Fprintf(stdout, "avg change    %.0f kbps/chunk (%d switches)\n", res.Metrics.AvgBitrateChange, res.Metrics.Switches)
+	fmt.Fprintf(stdout, "rebuffer      %.2f s in %d events\n", res.Metrics.RebufferTime, res.Metrics.RebufferEvents)
+	fmt.Fprintf(stdout, "startup       %.2f s\n", res.Metrics.StartupDelay)
+	fmt.Fprintf(stdout, "pred error    %.1f%%\n", res.PredError*100)
 
 	series := func(f func(mpcdash.ChunkStat) float64) []float64 {
 		out := make([]float64, len(res.Chunks))
@@ -95,48 +98,36 @@ func main() {
 		}
 		return out
 	}
-	fmt.Printf("bitrate       %s\n", viz.Sparkline(series(func(c mpcdash.ChunkStat) float64 { return c.Bitrate })))
-	fmt.Printf("buffer        %s\n", viz.Sparkline(series(func(c mpcdash.ChunkStat) float64 { return c.Buffer })))
-	fmt.Printf("throughput    %s\n", viz.Sparkline(series(func(c mpcdash.ChunkStat) float64 { return c.Throughput })))
+	fmt.Fprintf(stdout, "bitrate       %s\n", viz.Sparkline(series(func(c mpcdash.ChunkStat) float64 { return c.Bitrate })))
+	fmt.Fprintf(stdout, "buffer        %s\n", viz.Sparkline(series(func(c mpcdash.ChunkStat) float64 { return c.Buffer })))
+	fmt.Fprintf(stdout, "throughput    %s\n", viz.Sparkline(series(func(c mpcdash.ChunkStat) float64 { return c.Throughput })))
 
 	if *verbose {
-		fmt.Printf("\n%5s %9s %8s %9s %9s %9s\n", "chunk", "bitrate", "dl(s)", "thpt", "buf(s)", "rebuf(s)")
+		fmt.Fprintf(stdout, "\n%5s %9s %8s %9s %9s %9s\n", "chunk", "bitrate", "dl(s)", "thpt", "buf(s)", "rebuf(s)")
 		for _, c := range res.Chunks {
-			fmt.Printf("%5d %9.0f %8.2f %9.0f %9.2f %9.2f\n",
+			fmt.Fprintf(stdout, "%5d %9.0f %8.2f %9.0f %9.2f %9.2f\n",
 				c.Index, c.Bitrate, c.DownloadTime, c.Throughput, c.Buffer, c.Rebuffer)
 		}
 	}
 	if *jsonOut != "" {
-		if err := writeFile(*jsonOut, res.WriteJSON); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*jsonOut, res.WriteJSON); err != nil {
+			return cli.Fail(fs, err)
 		}
-		fmt.Printf("session JSON written to %s\n", *jsonOut)
+		fmt.Fprintf(stdout, "session JSON written to %s\n", *jsonOut)
 	}
 	if *csvOut != "" {
-		if err := writeFile(*csvOut, res.WriteCSV); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*csvOut, res.WriteCSV); err != nil {
+			return cli.Fail(fs, err)
 		}
-		fmt.Printf("per-chunk CSV written to %s\n", *csvOut)
+		fmt.Fprintf(stdout, "per-chunk CSV written to %s\n", *csvOut)
 	}
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, res.WriteTrace); err != nil {
-			fatal(err)
+		if err := cli.WriteFile(*traceOut, res.WriteTrace); err != nil {
+			return cli.Fail(fs, err)
 		}
-		fmt.Printf("trace written to %s — open in chrome://tracing or https://ui.perfetto.dev\n", *traceOut)
+		fmt.Fprintf(stdout, "trace written to %s — open in chrome://tracing or https://ui.perfetto.dev\n", *traceOut)
 	}
-}
-
-// writeFile streams an export method into a freshly created file.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return 0
 }
 
 // loadTrace reads the trace file or generates one.
@@ -147,41 +138,11 @@ func loadTrace(file, dataset string, seed int64, videoDur float64) (*mpcdash.Tra
 			return nil, err
 		}
 		defer f.Close()
-		raw, err := trace.Read(f, file)
-		if err != nil {
-			return nil, err
-		}
-		rates := make([]float64, len(raw.Samples))
-		// Preserve sample durations exactly when uniform; otherwise expose
-		// through the generic constructor sample by sample.
-		uniform := true
-		for i, s := range raw.Samples {
-			rates[i] = s.Kbps
-			if s.Duration != raw.Samples[0].Duration { //lint:allow floateq parsed durations compared verbatim, not arithmetic results
-				uniform = false
-			}
-		}
-		if !uniform {
-			return nil, fmt.Errorf("trace %s: non-uniform sample durations are not supported by the CLI", file)
-		}
-		return mpcdash.NewTrace(file, raw.Samples[0].Duration, rates)
+		return mpcdash.ReadTrace(f, file)
 	}
-	var kind mpcdash.Dataset
-	switch strings.ToLower(dataset) {
-	case "fcc":
-		kind = mpcdash.DatasetFCC
-	case "hsdpa":
-		kind = mpcdash.DatasetHSDPA
-	case "synthetic":
-		kind = mpcdash.DatasetSynthetic
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
+	kind, err := trace.ParseKind(dataset)
+	if err != nil {
+		return nil, err
 	}
-	traces := mpcdash.GenerateDataset(kind, 1, videoDur+120, seed)
-	return traces[0], nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "mpcdash: %v\n", err)
-	os.Exit(1)
+	return mpcdash.GenerateDataset(mpcdash.Dataset(kind), 1, videoDur+120, seed)[0], nil
 }

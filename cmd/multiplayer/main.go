@@ -12,11 +12,11 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
-	"strings"
+	"io"
 
+	"mpcdash/internal/cli"
 	"mpcdash/internal/model"
 	"mpcdash/internal/multiplayer"
 	"mpcdash/internal/runner"
@@ -24,43 +24,41 @@ import (
 	"mpcdash/internal/trace"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("multiplayer", stderr)
 	var (
-		players = flag.Int("players", 3, "number of competing players")
-		algName = flag.String("alg", "RobustMPC", "RB, BB, FESTIVE, dash.js, MPC, RobustMPC, FastMPC")
-		link    = flag.Float64("link", 6000, "constant bottleneck capacity in kbps")
-		chunks  = flag.Int("chunks", 30, "video length in 4-second chunks")
-		stagger = flag.Float64("stagger", 5, "seconds between player arrivals")
-		dataset = flag.String("dataset", "", "trace-driven bottleneck: fcc, hsdpa or synthetic")
-		seed    = flag.Int64("seed", 1, "trace seed when -dataset is set")
+		players = fs.Int("players", 3, "number of competing players")
+		algName = fs.String("alg", "RobustMPC", "RB, BB, FESTIVE, dash.js, MPC, RobustMPC, FastMPC")
+		link    = fs.Float64("link", 6000, "constant bottleneck capacity in kbps")
+		chunks  = fs.Int("chunks", 30, "video length in 4-second chunks")
+		stagger = fs.Float64("stagger", 5, "seconds between player arrivals")
+		dataset = fs.String("dataset", "", "trace-driven bottleneck: fcc, hsdpa or synthetic")
+		seed    = fs.Int64("seed", 1, "trace seed when -dataset is set")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseStatus(err)
+	}
 
 	if *players < 1 {
-		fatal(fmt.Errorf("need at least one player"))
+		return cli.Fail(fs, fmt.Errorf("need at least one player"))
 	}
 	m, err := model.NewCBRManifest(model.EnvivioLadder(), *chunks, 4)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 
 	var bottleneck *trace.Trace
 	if *dataset == "" {
 		bottleneck, err = trace.FromRates("const", 1e6, []float64{*link})
 		if err != nil {
-			fatal(err)
+			return cli.Fail(fs, err)
 		}
 	} else {
-		var kind trace.DatasetKind
-		switch strings.ToLower(*dataset) {
-		case "fcc":
-			kind = trace.FCC
-		case "hsdpa":
-			kind = trace.HSDPA
-		case "synthetic":
-			kind = trace.Synthetic
-		default:
-			fatal(fmt.Errorf("unknown dataset %q", *dataset))
+		kind, err := trace.ParseKind(*dataset)
+		if err != nil {
+			return cli.Fail(fs, err)
 		}
 		// Generous length: N staggered sessions can far outlast one.
 		bottleneck = trace.Dataset(kind, 1, float64(*players)*m.Duration()*3, *seed)[0]
@@ -68,7 +66,7 @@ func main() {
 
 	alg, err := runner.Lookup(runner.Catalog(model.Balanced, model.QIdentity, 30, 5), *algName)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 	ps := make([]multiplayer.Player, *players)
 	for i := range ps {
@@ -84,23 +82,19 @@ func main() {
 	cfg.Startup = alg.Startup
 	res, err := multiplayer.Run(m, bottleneck, ps, cfg)
 	if err != nil {
-		fatal(err)
+		return cli.Fail(fs, err)
 	}
 
-	fmt.Printf("%d × %s over %s (mean %.0f kbps)\n\n", *players, *algName, bottleneck.Name, bottleneck.Mean())
-	fmt.Printf("Jain fairness   %.3f\n", res.JainIndex)
-	fmt.Printf("utilization     %.3f\n", res.Utilization)
-	fmt.Printf("instability     %.3f switches/chunk\n\n", res.Instability)
-	fmt.Printf("%-10s %10s %10s %12s %10s\n", "player", "avg kbps", "switches", "rebuffer(s)", "QoE")
+	fmt.Fprintf(stdout, "%d × %s over %s (mean %.0f kbps)\n\n", *players, *algName, bottleneck.Name, bottleneck.Mean())
+	fmt.Fprintf(stdout, "Jain fairness   %.3f\n", res.JainIndex)
+	fmt.Fprintf(stdout, "utilization     %.3f\n", res.Utilization)
+	fmt.Fprintf(stdout, "instability     %.3f switches/chunk\n\n", res.Instability)
+	fmt.Fprintf(stdout, "%-10s %10s %10s %12s %10s\n", "player", "avg kbps", "switches", "rebuffer(s)", "QoE")
 	for i, s := range res.Sessions {
 		met := s.ComputeMetrics(model.QIdentity)
-		fmt.Printf("%-10s %10.0f %10d %12.2f %10.0f\n",
+		fmt.Fprintf(stdout, "%-10s %10.0f %10d %12.2f %10.0f\n",
 			ps[i].Name, met.AvgBitrate, met.Switches, met.RebufferTime,
 			s.QoE(model.Balanced, model.QIdentity))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "multiplayer: %v\n", err)
-	os.Exit(1)
+	return 0
 }

@@ -9,44 +9,43 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
+	"mpcdash/internal/cli"
 	"mpcdash/internal/stats"
 	"mpcdash/internal/trace"
 )
 
-func main() {
-	var (
-		dataset  = flag.String("dataset", "fcc", "fcc, hsdpa or synthetic")
-		count    = flag.Int("count", 10, "number of traces")
-		duration = flag.Float64("duration", 380, "trace duration in seconds")
-		seed     = flag.Int64("seed", 42, "base seed")
-		out      = flag.String("out", "", "output directory (default: print stats only)")
-		inspect  = flag.String("inspect", "", "inspect an existing trace file instead of generating")
-	)
-	flag.Parse()
+func main() { cli.Main(run) }
 
-	if *inspect != "" {
-		if err := inspectFile(*inspect); err != nil {
-			fatal(err)
-		}
-		return
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("tracegen", stderr)
+	var (
+		dataset  = fs.String("dataset", "fcc", "fcc, hsdpa or synthetic")
+		count    = fs.Int("count", 10, "number of traces")
+		duration = fs.Float64("duration", 380, "trace duration in seconds")
+		seed     = fs.Int64("seed", 42, "base seed")
+		out      = fs.String("out", "", "output directory (default: print stats only)")
+		inspect  = fs.String("inspect", "", "inspect an existing trace file instead of generating")
+	)
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseStatus(err)
 	}
 
-	var kind trace.DatasetKind
-	switch strings.ToLower(*dataset) {
-	case "fcc":
-		kind = trace.FCC
-	case "hsdpa":
-		kind = trace.HSDPA
-	case "synthetic":
-		kind = trace.Synthetic
-	default:
-		fatal(fmt.Errorf("unknown dataset %q", *dataset))
+	if *inspect != "" {
+		if err := inspectFile(stdout, *inspect); err != nil {
+			return cli.Fail(fs, err)
+		}
+		return 0
+	}
+
+	kind, err := trace.ParseKind(*dataset)
+	if err != nil {
+		return cli.Fail(fs, err)
 	}
 
 	traces := trace.Dataset(kind, *count, *duration, *seed)
@@ -56,31 +55,27 @@ func main() {
 		stds = append(stds, tr.Stddev())
 		if *out != "" {
 			if err := writeTrace(*out, tr); err != nil {
-				fatal(err)
+				return cli.Fail(fs, err)
 			}
 		}
 	}
-	fmt.Printf("%s dataset: %d traces × %.0fs\n", kind, len(traces), *duration)
-	fmt.Printf("  mean throughput: %s\n", stats.Summarize(means))
-	fmt.Printf("  stddev:          %s\n", stats.Summarize(stds))
+	fmt.Fprintf(stdout, "%s dataset: %d traces × %.0fs\n", kind, len(traces), *duration)
+	fmt.Fprintf(stdout, "  mean throughput: %s\n", stats.Summarize(means))
+	fmt.Fprintf(stdout, "  stddev:          %s\n", stats.Summarize(stds))
 	if *out != "" {
-		fmt.Printf("  written to %s/\n", *out)
+		fmt.Fprintf(stdout, "  written to %s/\n", *out)
 	}
+	return 0
 }
 
 func writeTrace(dir string, tr *trace.Trace) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, tr.Name+".txt"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.Write(f, tr)
+	return cli.WriteFile(filepath.Join(dir, tr.Name+".txt"), func(w io.Writer) error { return trace.Write(w, tr) })
 }
 
-func inspectFile(path string) error {
+func inspectFile(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -90,16 +85,11 @@ func inspectFile(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trace %s\n", tr.Name)
-	fmt.Printf("  samples:   %d\n", len(tr.Samples))
-	fmt.Printf("  duration:  %.1f s\n", tr.Duration())
-	fmt.Printf("  mean:      %.0f kbps\n", tr.Mean())
-	fmt.Printf("  stddev:    %.0f kbps\n", tr.Stddev())
-	fmt.Printf("  min/max:   %.0f / %.0f kbps\n", tr.MinRate(), tr.MaxRate())
+	fmt.Fprintf(w, "trace %s\n", tr.Name)
+	fmt.Fprintf(w, "  samples:   %d\n", len(tr.Samples))
+	fmt.Fprintf(w, "  duration:  %.1f s\n", tr.Duration())
+	fmt.Fprintf(w, "  mean:      %.0f kbps\n", tr.Mean())
+	fmt.Fprintf(w, "  stddev:    %.0f kbps\n", tr.Stddev())
+	fmt.Fprintf(w, "  min/max:   %.0f / %.0f kbps\n", tr.MinRate(), tr.MaxRate())
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-	os.Exit(1)
 }

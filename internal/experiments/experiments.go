@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"mpcdash/internal/model"
 	"mpcdash/internal/runner"
@@ -46,7 +47,9 @@ func (c Config) WithDefaults() Config {
 type Experiment struct {
 	Key   string // cmd/experiments -fig value and sub-benchmark name
 	Title string
-	Run   func(Config) error
+	// Run prints the rows to cfg.Out and any timings, which vary run to
+	// run and so stay off the rows, to timings.
+	Run func(cfg Config, timings io.Writer) error
 }
 
 // All is the experiment catalog, in the order a full reproduction runs it.
@@ -61,17 +64,29 @@ var All = []Experiment{
 	{"11d", "Figure 11d", run(Fig11d)},
 	{"12a", "Figure 12a", run(Fig12a)},
 	{"12b", "Figure 12b", run(Fig12b)},
-	{"table1", "Table 1", run(Table1)},
+	{"table1", "Table 1", func(cfg Config, timings io.Writer) error {
+		rows, err := Table1(cfg)
+		for _, r := range rows {
+			fmt.Fprintf(timings, "table1: %d levels built in %s\n", r.Levels, r.BuildTime.Round(time.Millisecond))
+		}
+		return err
+	}},
 	{"levels", "Bitrate levels extension", run(LevelsSweep)},
 	{"predictors", "Predictor comparison extension", run(PredictorSweep)},
 	{"mdp", "MDP vs MPC extension", run(MDPComparison)},
 	{"quality", "Quality-function extension", run(MultiQoESweep)},
-	{"overhead", "Overhead", run(Overhead)},
+	{"overhead", "Overhead", func(cfg Config, timings io.Writer) error {
+		rows, err := Overhead(cfg)
+		for _, r := range rows {
+			fmt.Fprintf(timings, "overhead: %s %s per decision\n", r.Algorithm, r.PerDecision)
+		}
+		return err
+	}},
 }
 
 // run drops an experiment's result, which it has already printed.
-func run[R any](f func(Config) (R, error)) func(Config) error {
-	return func(cfg Config) error {
+func run[R any](f func(Config) (R, error)) func(Config, io.Writer) error {
+	return func(cfg Config, _ io.Writer) error {
 		_, err := f(cfg)
 		return err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"mpcdash/internal/abr"
@@ -127,8 +126,6 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		cfg.printf("  %-8d %11.1fkB %11.1fkB %11.1fkB %8d %8.2f\n",
 			r.Levels, float64(r.FullBytesJS)/1000, float64(r.FullBytesBin)/1000,
 			float64(r.RLEBytes)/1000, r.Runs, r.CompressRatio)
-		// Timings vary run to run, so they stay off the rows.
-		fmt.Fprintf(os.Stderr, "table1: %d levels built in %s\n", r.Levels, r.BuildTime.Round(time.Millisecond))
 	}
 	return rows, nil
 }
@@ -215,8 +212,6 @@ func Overhead(cfg Config) ([]OverheadRow, error) {
 	cfg.printf("  %-12s %12s\n", "algorithm", "extra-mem")
 	for _, r := range rows {
 		cfg.printf("  %-12s %11.1fkB\n", r.Algorithm, float64(r.TableBytes)/1000)
-		// Timings vary run to run, so they stay off the rows.
-		fmt.Fprintf(os.Stderr, "overhead: %s %s per decision\n", r.Algorithm, r.PerDecision)
 	}
 	return rows, nil
 }

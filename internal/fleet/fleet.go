@@ -54,9 +54,6 @@ type Options struct {
 	// Registry receives live gauges, counters and per-population QoE
 	// histograms; nil disables metrics entirely.
 	Registry *obs.Registry
-	// Workers caps concurrent sessions per population; 0 derives it
-	// from the scenario's MaxInFlight and the backend.
-	Workers int
 	// EmuTimeScale compresses emulated sessions (media seconds per wall
 	// second); 0 selects 20.
 	EmuTimeScale float64
@@ -208,9 +205,10 @@ func buildTracePool(sc *Scenario, videoDur float64) map[string][]*trace.Trace {
 			// Seed each kind from the scenario seed and a stable kind
 			// tag so adding a population never reshuffles another
 			// kind's pool.
-			tag := uint64(traceKinds[kind])<<32 + 0xF1EE7
+			k, _ := trace.ParseKind(kind) // Validate accepted every kind
+			tag := uint64(k)<<32 + 0xF1EE7
 			seed := int64(splitmix64(uint64(sc.Seed)^tag) >> 33)
-			pool[kind] = trace.Dataset(traceKinds[kind], perKind, dur, seed)
+			pool[kind] = trace.Dataset(k, perKind, dur, seed)
 		}
 	}
 	return pool
@@ -270,9 +268,6 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 // lets the admission semaphore alone set the concurrency — that is what
 // "N concurrent sessions against a live abrd" means.
 func (f *Fleet) workersPerPop() int {
-	if f.opt.Workers > 0 {
-		return f.opt.Workers
-	}
 	limit := runtime.GOMAXPROCS(0)
 	if f.opt.Backend == BackendEmu {
 		limit = 32

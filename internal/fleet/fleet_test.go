@@ -97,15 +97,18 @@ func TestFleetRunCompletes(t *testing.T) {
 // The same scenario seed must produce byte-identical JSON reports:
 // arrival spans, trace assignment and every aggregate are seed-derived
 // and reduced in deterministic order even across differing worker
-// interleavings.
+// interleavings. The admission cap bounds each population's worker
+// pool, so one session at a time against 2×GOMAXPROCS gives two
+// different interleavings; the report carries no MaxInFlight.
 func TestFleetReportDeterministic(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func(maxInFlight int) []byte {
 		sc := testScenario(300)
+		sc.MaxInFlight = maxInFlight
 		// Exercise the seeded arrival path too (fast: 300 sessions at
 		// 100k/s is 3 ms of pacing).
 		sc.Populations[0].Arrival = Arrival{Process: "poisson", RatePerSec: 100000}
 		sc.Populations[1].Arrival = Arrival{Process: "ramp", RatePerSec: 100000}
-		f, err := New(sc, Options{Workers: workers})
+		f, err := New(sc, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +122,7 @@ func TestFleetReportDeterministic(t *testing.T) {
 		}
 		return b
 	}
-	a := run(2)
+	a := run(1)
 	b := run(runtime.GOMAXPROCS(0) * 2)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("reports differ between runs of the same seed:\n--- run1\n%s\n--- run2\n%s", a, b)

@@ -100,14 +100,6 @@ type Watch struct {
 	MaxChunks int    `json:"max_chunks"`
 }
 
-// Known dataset kinds, in the canonical (sorted) order trace-mix
-// sampling iterates them in.
-var traceKinds = map[string]trace.DatasetKind{
-	"fcc":       trace.FCC,
-	"hsdpa":     trace.HSDPA,
-	"synthetic": trace.Synthetic,
-}
-
 // LoadScenario reads and validates a scenario JSON file.
 func LoadScenario(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
@@ -181,12 +173,15 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("fleet: population %q: unknown arrival process %q", p.Name, p.Arrival.Process)
 		}
 		for kind, weight := range p.TraceMix {
-			if _, ok := traceKinds[strings.ToLower(kind)]; !ok {
+			if _, err := trace.ParseKind(kind); err != nil {
 				return fmt.Errorf("fleet: population %q: unknown trace kind %q", p.Name, kind)
 			}
 			if weight < 0 {
 				return fmt.Errorf("fleet: population %q: trace mix weight for %q is negative", p.Name, kind)
 			}
+		}
+		if kinds, _ := p.mixKinds(); len(kinds) == 0 {
+			return fmt.Errorf("fleet: population %q: trace mix has no positive weight", p.Name)
 		}
 		switch strings.ToLower(p.Watch.Dist) {
 		case "", "full":
@@ -269,21 +264,27 @@ func (sc *Scenario) algorithms() (map[string]runner.Algorithm, error) {
 }
 
 // mixKinds returns the population's trace mix as (kind, cumulative
-// weight) in canonical sorted-kind order, normalized to sum 1.
+// weight) in canonical sorted-kind order, normalized to sum 1. Kinds are
+// lower-cased, so "FCC" and "fcc" are one kind whose weights add.
 func (p *Population) mixKinds() ([]string, []float64) {
-	mix := p.TraceMix
-	if len(mix) == 0 {
-		mix = map[string]float64{"fcc": 1}
-	}
-	kinds := make([]string, 0, len(mix))
-	var total float64
-	for k, w := range mix {
-		if w > 0 {
-			kinds = append(kinds, strings.ToLower(k))
-			total += w
+	mix := map[string]float64{"fcc": 1}
+	if len(p.TraceMix) > 0 {
+		mix = make(map[string]float64, len(p.TraceMix))
+		for k, w := range p.TraceMix {
+			if w > 0 {
+				mix[strings.ToLower(k)] += w
+			}
 		}
 	}
+	kinds := make([]string, 0, len(mix))
+	for k := range mix {
+		kinds = append(kinds, k)
+	}
 	sort.Strings(kinds)
+	var total float64
+	for _, k := range kinds {
+		total += mix[k]
+	}
 	cum := make([]float64, len(kinds))
 	var acc float64
 	for i, k := range kinds {

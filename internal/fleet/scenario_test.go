@@ -10,8 +10,9 @@ import (
 
 // TestScenarioFileRoundTrip: WriteJSON then LoadScenario gives back the
 // built-in scenarios unchanged, and a file that names an unknown field
-// (here the removed launch_rate_per_sec) or a negative limit fails to
-// load rather than running something other than what it says.
+// (here the removed launch_rate_per_sec), a negative limit or a trace mix
+// with no positive weight fails to load rather than running something
+// other than what it says.
 func TestScenarioFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for _, sc := range []*Scenario{DefaultScenario(1000), SvcDemoScenario(1000)} {
@@ -53,5 +54,28 @@ func TestScenarioFileRoundTrip(t *testing.T) {
 	}
 	if err := load("neg.json", `{"max_in_flight": -1, `+pops+`}`); err == nil {
 		t.Error("negative max_in_flight accepted")
+	}
+	zeroMix := `"populations": [{"name": "bb", "algorithm": "BB", "sessions": 1, "trace_mix": {"fcc": 0}}]`
+	if err := load("zero.json", `{`+zeroMix+`}`); err == nil {
+		t.Error("trace mix with no positive weight accepted")
+	}
+}
+
+// Trace kinds are names in any letter case, so a mix written "FCC" and
+// "Hsdpa" is the mix written "fcc" and "hsdpa": the same kinds, the same
+// weights and the same sessions on the same traces.
+func TestTraceMixKindCase(t *testing.T) {
+	mixes := []map[string]float64{
+		{"fcc": 1, "hsdpa": 3},
+		{"FCC": 1, "Hsdpa": 3},
+		{"fcc": 0.5, "FCC": 0.5, "HSDPA": 3},
+	}
+	want := (&Population{TraceMix: mixes[0]})
+	wantKinds, wantCum := want.mixKinds()
+	for _, mix := range mixes[1:] {
+		kinds, cum := (&Population{TraceMix: mix}).mixKinds()
+		if !reflect.DeepEqual(kinds, wantKinds) || !reflect.DeepEqual(cum, wantCum) {
+			t.Errorf("mix %v: kinds %v cumulative %v, want %v %v", mix, kinds, cum, wantKinds, wantCum)
+		}
 	}
 }

@@ -59,7 +59,7 @@ var NoDeterminism = &Analyzer{
 
 func runNoDeterminism(p *Pass) {
 	if p.Pkg.Name == "main" {
-		// CLIs and examples print elapsed wall time legitimately; the
+		// The commands print elapsed wall time legitimately; the
 		// invariant protects the library decision/aggregation paths.
 		return
 	}

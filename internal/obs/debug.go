@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"expvar"
 	"fmt"
 	"net"
@@ -27,16 +28,16 @@ func NewDebugMux(reg *Registry) *http.ServeMux {
 }
 
 // ServeDebug starts the debug mux on addr in a background goroutine and
-// returns the bound address (useful with ":0"). The server lives for the
-// rest of the process; CLI commands have no shutdown path shorter than
-// exit.
-func ServeDebug(addr string, reg *Registry) (string, error) {
+// returns the bound address (useful with ":0"). The server closes its
+// listener and connections when ctx ends.
+func ServeDebug(ctx context.Context, addr string, reg *Registry) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("obs: debug listen on %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: NewDebugMux(reg)}
 	go func() { _ = srv.Serve(ln) }()
+	context.AfterFunc(ctx, func() { _ = srv.Close() })
 	return ln.Addr().String(), nil
 }
 

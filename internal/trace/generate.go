@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 )
 
 // The paper evaluates on three datasets (Sec 7.1.1). The measured FCC and
@@ -223,6 +224,17 @@ func (k DatasetKind) String() string {
 	default:
 		return fmt.Sprintf("DatasetKind(%d)", int(k))
 	}
+}
+
+// ParseKind returns the dataset kind named fcc, hsdpa or synthetic, in
+// any letter case.
+func ParseKind(name string) (DatasetKind, error) {
+	for k := FCC; k <= Synthetic; k++ {
+		if strings.EqualFold(name, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown dataset %q (have fcc, hsdpa, synthetic)", name)
 }
 
 // Dataset generates count traces of the given kind and duration,

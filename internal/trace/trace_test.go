@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +251,31 @@ func TestGenerators(t *testing.T) {
 					t.Errorf("FCC trace %q mean %v exceeds the 3 Mbps filter", tr.Name, m)
 				}
 			}
+		}
+	}
+}
+
+func TestParseKind(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want DatasetKind
+	}{
+		{"fcc", FCC}, {"FCC", FCC}, {"Hsdpa", HSDPA}, {"hsdpa", HSDPA},
+		{"synthetic", Synthetic}, {"SYNTHETIC", Synthetic},
+	} {
+		got, err := ParseKind(c.name)
+		if err != nil || got != c.want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"", "lte", "fcc ", "markov"} {
+		_, err := ParseKind(bad)
+		if err == nil {
+			t.Errorf("ParseKind(%q) accepted", bad)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "fcc, hsdpa, synthetic") {
+			t.Errorf("ParseKind(%q) error %q does not list the names", bad, msg)
 		}
 	}
 }

@@ -90,6 +90,16 @@ func NewTrace(name string, interval float64, kbps []float64) (*Trace, error) {
 	return &Trace{tr: tr}, nil
 }
 
+// ReadTrace parses a text-format trace: one "duration kbps" sample per
+// line, blank lines and #-comments skipped. Sample durations may differ.
+func ReadTrace(r io.Reader, name string) (*Trace, error) {
+	tr, err := trace.Read(r, name)
+	if err != nil {
+		return nil, err
+	}
+	return &Trace{tr: tr}, nil
+}
+
 // Name returns the trace's identifier.
 func (t *Trace) Name() string { return t.tr.Name }
 
@@ -104,27 +114,19 @@ type Dataset int
 
 // The three evaluation datasets of Sec 7.1.1.
 const (
-	DatasetFCC       Dataset = iota // broadband-like, 5 s samples, most stable
-	DatasetHSDPA                    // 3G-mobile-like, 1 s samples, most variable
-	DatasetSynthetic                // hidden-Markov bottleneck-sharing model
+	DatasetFCC       = Dataset(trace.FCC)       // broadband-like, 5 s samples, most stable
+	DatasetHSDPA     = Dataset(trace.HSDPA)     // 3G-mobile-like, 1 s samples, most variable
+	DatasetSynthetic = Dataset(trace.Synthetic) // hidden-Markov bottleneck-sharing model
 )
 
 // GenerateDataset deterministically synthesizes count traces of at least
 // the given duration (seconds). See internal/trace for the generator
 // models and DESIGN.md for how they substitute the measured datasets.
 func GenerateDataset(kind Dataset, count int, duration float64, seed int64) []*Trace {
-	var k trace.DatasetKind
-	switch kind {
-	case DatasetFCC:
-		k = trace.FCC
-	case DatasetHSDPA:
-		k = trace.HSDPA
-	case DatasetSynthetic:
-		k = trace.Synthetic
-	default:
+	if kind < DatasetFCC || kind > DatasetSynthetic {
 		return nil
 	}
-	raw := trace.Dataset(k, count, duration, seed)
+	raw := trace.Dataset(trace.DatasetKind(kind), count, duration, seed)
 	out := make([]*Trace, len(raw))
 	for i, tr := range raw {
 		out[i] = &Trace{tr: tr}

@@ -1,14 +1,11 @@
-// Solver hot-path benchmarks (the tentpole budget): per-chunk decision
-// latency and allocations for the exact MPC solver, and cold-vs-warm
-// FastMPC table acquisition through the content-addressed cache.
-// TestSolverPerformance logs the measured numbers (see `make bench-solver`)
-// and asserts that a warm disk cache is faster than an offline rebuild;
-// the zero-allocation budget of the scratch path is core's AllocsPerRun
-// tests.
+// Solver hot-path benchmarks: per-chunk decision latency and allocations
+// for the exact MPC solver, and FastMPC table acquisition (a cold build and
+// a registry hit). Run them with `make bench-solver`; the zero-allocation
+// budgets of the scratch and Decide paths are core's AllocsPerRun tests
+// (TestPlanScratchZeroAllocs, TestMPCDecideZeroAllocs).
 package mpcdash_test
 
 import (
-	"encoding/json"
 	"testing"
 
 	"mpcdash/internal/abr"
@@ -127,75 +124,4 @@ func BenchmarkSolver_TableCacheMemoryWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSolver_TableCacheDiskWarm is a fresh process finding the table
-// on disk: header-validated read + deserialize instead of the build.
-func BenchmarkSolver_TableCacheDiskWarm(b *testing.B) {
-	dir := b.TempDir()
-	opt := solverOptimizer(b)
-	spec := solverSpec()
-	prime := fastmpc.NewRegistry()
-	prime.SetDir(dir)
-	if _, err := prime.Table(opt, spec); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reg := fastmpc.NewRegistry()
-		reg.SetDir(dir)
-		if _, err := reg.Table(opt, spec); err != nil {
-			b.Fatal(err)
-		}
-		if reg.Stats().DiskHits != 1 {
-			b.Fatal("disk cache missed")
-		}
-	}
-}
-
-// TestSolverPerformance measures the solver budgets and logs the numbers.
-// Asserted: loading a warm disk cache beats rebuilding. The zero-alloc
-// budgets of the scratch and Decide paths are core's AllocsPerRun tests
-// (TestPlanScratchZeroAllocs, TestMPCDecideZeroAllocs).
-func TestSolverPerformance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark report; skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews the timings")
-	}
-	scratch := testing.Benchmark(BenchmarkSolver_PlanScratchSteadyState)
-	pooled := testing.Benchmark(BenchmarkSolver_PlanPooled)
-	decide := testing.Benchmark(BenchmarkSolver_MPCDecide)
-	cold := testing.Benchmark(BenchmarkSolver_TableBuildCold)
-	memWarm := testing.Benchmark(BenchmarkSolver_TableCacheMemoryWarm)
-	diskWarm := testing.Benchmark(BenchmarkSolver_TableCacheDiskWarm)
-
-	t.Logf("PlanScratch %d ns/op %d allocs/op; Plan (pooled) %d ns/op; Decide %d ns/op %d allocs/op",
-		scratch.NsPerOp(), scratch.AllocsPerOp(), pooled.NsPerOp(), decide.NsPerOp(), decide.AllocsPerOp())
-	t.Logf("table: cold build %d ns/op, memory-warm %d ns/op, disk-warm %d ns/op",
-		cold.NsPerOp(), memWarm.NsPerOp(), diskWarm.NsPerOp())
-
-	if diskWarm.NsPerOp() >= cold.NsPerOp() {
-		t.Errorf("warm disk cache (%d ns/op) is not faster than a cold build (%d ns/op)",
-			diskWarm.NsPerOp(), cold.NsPerOp())
-	}
-
-	report, err := json.MarshalIndent(map[string]any{
-		"benchmark":               "Envivio manifest, horizon 5, paper 100×100 bins",
-		"plan_scratch_ns_op":      scratch.NsPerOp(),
-		"plan_scratch_allocs_op":  scratch.AllocsPerOp(),
-		"plan_pooled_ns_op":       pooled.NsPerOp(),
-		"mpc_decide_ns_op":        decide.NsPerOp(),
-		"mpc_decide_allocs_op":    decide.AllocsPerOp(),
-		"table_build_cold_ns_op":  cold.NsPerOp(),
-		"table_memory_warm_ns_op": memWarm.NsPerOp(),
-		"table_disk_warm_ns_op":   diskWarm.NsPerOp(),
-		"table_disk_warm_speedup": float64(cold.NsPerOp()) / float64(diskWarm.NsPerOp()),
-		"budget":                  "disk warm < cold build",
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("report:\n%s", report)
 }

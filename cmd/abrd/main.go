@@ -10,7 +10,7 @@
 //
 //	abrd [-addr 127.0.0.1:8404] [-max-sessions 65536] [-session-ttl 5m]
 //	     [-max-inflight 0] [-queue-depth 0] [-queue-wait 100ms]
-//	     [-fairness] [-table-cache DIR] [-trace-out FILE] [-drain 10s]
+//	     [-fairness] [-trace-out FILE] [-drain 10s]
 package main
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"mpcdash/internal/abrsvc"
 	"mpcdash/internal/cli"
-	"mpcdash/internal/fastmpc"
 	"mpcdash/internal/obs"
 )
 
@@ -38,16 +37,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		queueDepth  = fs.Int("queue-depth", 0, "decide queue depth before immediate shedding (0 = 8×max-inflight)")
 		queueWait   = fs.Duration("queue-wait", 0, "max time a decide request may queue before shedding (0 = default 100ms)")
 		fairness    = fs.Bool("fairness", false, "enable link-group fair-share throughput capping")
-		tableCache  = fs.String("table-cache", "", "directory for the persistent FastMPC table cache (empty = memory only)")
 		traceOut    = fs.String("trace-out", "", "write per-decision Chrome trace events to this file (empty = disabled)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 	)
 	if err := fs.Parse(args); err != nil {
 		return cli.ParseStatus(err)
-	}
-
-	if *tableCache != "" {
-		fastmpc.SetTableCacheDir(*tableCache)
 	}
 
 	var sink obs.Sink

@@ -32,7 +32,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := cli.NewFlagSet("dashclient", stderr)
 	var (
 		baseURL     = fs.String("url", "http://127.0.0.1:8080", "dashserver base URL")
-		algName     = fs.String("alg", "RobustMPC", "RB, BB, FESTIVE, dash.js, MPC, RobustMPC, FastMPC")
+		algName     = fs.String("alg", "RobustMPC", "RB, BB, FESTIVE, dash.js, MPC, RobustMPC, FastMPC, RobustFastMPC")
 		scale       = fs.Float64("scale", 1, "time-compression factor; must match the server's")
 		bmax        = fs.Float64("buffer", 30, "playout buffer cap in media seconds")
 		horizon     = fs.Int("horizon", 5, "MPC look-ahead chunks")

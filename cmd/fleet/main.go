@@ -42,7 +42,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxInflight   = fs.Int("max-inflight", 0, "override the scenario's max concurrently playing sessions (0 = keep the scenario's value)")
 		seed          = fs.Int64("seed", 0, "override the scenario seed (0 = keep the file's seed)")
 		emuTimeScale  = fs.Float64("emu-timescale", 0, "wall-clock compression for the emu backend (0 = default)")
-		tableCache    = fs.String("table-cache", "", "directory for the content-addressed FastMPC table cache; warm runs skip the table build (empty = disabled)")
 		reportOut     = fs.String("report", "", "write the JSON report to this file")
 		metricsAddr   = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run (empty = disabled)")
 		printScenario = fs.Bool("print-scenario", false, "print the effective scenario as JSON and exit")
@@ -78,10 +77,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := fleet.Options{
-		Backend:       *backend,
-		EmuTimeScale:  *emuTimeScale,
-		TableCacheDir: *tableCache,
-		SvcURL:        *svcURL,
+		Backend:      *backend,
+		EmuTimeScale: *emuTimeScale,
+		SvcURL:       *svcURL,
 	}
 	if *metricsAddr != "" {
 		// The metrics endpoint lives until run returns, past a drain.
@@ -128,13 +126,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "\n%d sessions in %.2f s (%.0f sessions/s)\n",
 		completed, elapsed.Seconds(), float64(completed)/elapsed.Seconds())
-	if st := fastmpc.TableCacheStats(); st.Builds+st.DiskHits+st.MemoryHits > 0 {
-		cache := *tableCache
-		if cache == "" {
-			cache = "disk (disabled)"
-		}
-		fmt.Fprintf(stdout, "fastmpc tables: %d built, %d loaded from %s, %d shared in-process\n",
-			st.Builds, st.DiskHits, cache, st.MemoryHits)
+	if st := fastmpc.TableCacheStats(); st.Builds+st.MemoryHits > 0 {
+		fmt.Fprintf(stdout, "fastmpc tables: %d built, %d shared in-process\n", st.Builds, st.MemoryHits)
 	}
 
 	if *reportOut != "" {

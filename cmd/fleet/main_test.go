@@ -160,11 +160,11 @@ func TestRunErrors(t *testing.T) {
 	}{
 		{[]string{"-h"}, 0, "Usage of fleet"},
 		{[]string{"-workers", "2"}, 2, "flag provided but not defined: -workers"},
-		{[]string{"-sessions", "4", "-backend", "carrier-pigeon"}, 1, "fleet: fleet: unknown backend \"carrier-pigeon\"\n"},
-		{[]string{"-scenario", filepath.Join(t.TempDir(), "missing.json")}, 1, "fleet: fleet: open "},
+		{[]string{"-sessions", "4", "-backend", "carrier-pigeon"}, 1, "fleet: unknown backend \"carrier-pigeon\"\n"},
+		{[]string{"-scenario", filepath.Join(t.TempDir(), "missing.json")}, 1, "fleet: open "},
 	} {
 		code, _, errs := runCmd(context.Background(), c.args...)
-		if code != c.code || !strings.Contains(errs, c.stderr) {
+		if code != c.code || !strings.HasPrefix(errs, c.stderr) {
 			t.Errorf("%q: exit %d, stderr %q; want exit %d with %q", c.args, code, errs, c.code, c.stderr)
 		}
 	}

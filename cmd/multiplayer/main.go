@@ -30,7 +30,7 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := cli.NewFlagSet("multiplayer", stderr)
 	var (
 		players = fs.Int("players", 3, "number of competing players")
-		algName = fs.String("alg", "RobustMPC", "RB, BB, FESTIVE, dash.js, MPC, RobustMPC, FastMPC")
+		algName = fs.String("alg", "RobustMPC", "RB, BB, FESTIVE, dash.js, MPC, RobustMPC, FastMPC, RobustFastMPC")
 		link    = fs.Float64("link", 6000, "constant bottleneck capacity in kbps")
 		chunks  = fs.Int("chunks", 30, "video length in 4-second chunks")
 		stagger = fs.Float64("stagger", 5, "seconds between player arrivals")

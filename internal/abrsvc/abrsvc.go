@@ -2,8 +2,8 @@
 // stdlib-only HTTP control plane that answers per-chunk bitrate decisions
 // at table-lookup cost. The paper's design (Sec 5) splits MPC into an
 // expensive offline enumeration and a cheap online lookup; this package is
-// the server-side shape of that split — tables are built (or loaded from
-// the content-addressed cache) once per distinct configuration and then
+// the server-side shape of that split — tables are built once per
+// distinct configuration by the content-addressed registry and then
 // shared by every session that registers with equal parameters, so the
 // marginal cost of a decision request is a predictor update plus a binary
 // search over a few hundred RLE runs.
@@ -79,8 +79,8 @@ type Config struct {
 	Fairness bool
 
 	// Tables resolves FastMPC decision tables; nil selects the shared
-	// process-wide registry (and therefore the -table-cache disk tier
-	// when one is configured).
+	// process-wide registry, so the service and in-process controllers
+	// build each table once.
 	Tables *fastmpc.Registry
 	// Registry receives the service metrics; nil creates a private one.
 	Registry *obs.Registry

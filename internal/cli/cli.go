@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 )
 
@@ -69,9 +70,14 @@ func ParseStatus(err error) int {
 }
 
 // Fail writes "name: err" to the flag set's output and returns exit
-// status 1.
+// status 1. An error that already starts with "name: " (the command's
+// library of the same name) is written as it is, so the name shows once.
 func Fail(fs *flag.FlagSet, err error) int {
-	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	msg := err.Error()
+	if prefix := fs.Name() + ": "; !strings.HasPrefix(msg, prefix) {
+		msg = prefix + msg
+	}
+	fmt.Fprintln(fs.Output(), msg)
 	return 1
 }
 

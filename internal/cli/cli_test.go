@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -68,5 +69,20 @@ func TestSecondSignalEndsProcess(t *testing.T) {
 	ws, ok := ee.Sys().(syscall.WaitStatus)
 	if !ok || !ws.Signaled() || ws.Signal() != syscall.SIGTERM {
 		t.Fatalf("child: %v, want death by SIGTERM; output:\n%s", err, out)
+	}
+}
+
+// Fail names the command once: an error from the command's own library
+// already carries the name, and any other error gets it in front.
+func TestFailNamesCommandOnce(t *testing.T) {
+	for _, c := range []struct{ err, want string }{
+		{"open x.json: no such file", "fleet: open x.json: no such file\n"},
+		{"fleet: unknown backend \"carrier-pigeon\"", "fleet: unknown backend \"carrier-pigeon\"\n"},
+		{"fleetwide: not ours", "fleet: fleetwide: not ours\n"},
+	} {
+		var out bytes.Buffer
+		if code := Fail(NewFlagSet("fleet", &out), errors.New(c.err)); code != 1 || out.String() != c.want {
+			t.Errorf("Fail(%q): exit %d, wrote %q; want exit 1, %q", c.err, code, out.String(), c.want)
+		}
 	}
 }

@@ -25,11 +25,9 @@ type Controller struct {
 // NewController returns a Factory that resolves the decision table through
 // the shared content-addressed registry and shares it across sessions
 // (lookups are read-only and safe for concurrent use): factories and
-// populations with equal configuration share one build per process, and a
-// configured table-cache directory (SetTableCacheDir) lets repeated runs
-// skip the enumeration entirely. Table construction panics on
-// configuration errors, as factories are assembled from validated
-// experiment configs.
+// populations with equal configuration share one build per process.
+// Table construction panics on configuration errors, as factories are
+// assembled from validated experiment configs.
 func NewController(w model.Weights, q model.QualityFunc, bufferMax float64, horizon int, spec *BinSpec, robust bool, label string) abr.Factory {
 	var (
 		mu sync.Mutex

@@ -1,6 +1,7 @@
 package fastmpc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -67,17 +68,30 @@ func TestBinQuantization(t *testing.T) {
 }
 
 // TestTableMatchesOptimizer: looking up a bin's representative state must
-// return exactly what the optimizer decides for it.
+// return exactly what the optimizer decides for it, in the flat and the
+// compressed table.
 func TestTableMatchesOptimizer(t *testing.T) {
 	opt, table := smallTable(t)
-	for bBin := 0; bBin < table.Spec.BufferBins; bBin += 3 {
+	checkTableMatchesOptimizer(t, opt, table, Compress(table), 3)
+}
+
+// checkTableMatchesOptimizer compares every step-th buffer and rate bin of
+// the flat table and of its compressed form with the optimizer's decision at
+// the bin's representative state.
+func checkTableMatchesOptimizer(t *testing.T, opt *core.Optimizer, table *Table, compressed *CompressedTable, step int) {
+	t.Helper()
+	spec := table.Spec
+	for bBin := 0; bBin < spec.BufferBins; bBin += step {
 		for prev := 0; prev < table.Levels; prev++ {
-			for rBin := 0; rBin < table.Spec.RateBins; rBin += 3 {
-				buffer := table.Spec.BufferValue(bBin)
-				rate := table.Spec.RateValue(rBin)
+			for rBin := 0; rBin < spec.RateBins; rBin += step {
+				buffer := spec.BufferValue(bBin)
+				rate := spec.RateValue(rBin)
 				want, _, _ := opt.Plan(0, buffer, prev, []float64{rate}, false)
 				if got := table.Lookup(buffer, prev, rate); got != want {
-					t.Fatalf("Lookup(%.1f,%d,%.0f) = %d, optimizer says %d", buffer, prev, rate, got, want)
+					t.Fatalf("%+v: Lookup(%.2f,%d,%.2f) = %d, optimizer says %d", spec, buffer, prev, rate, got, want)
+				}
+				if got := compressed.Lookup(buffer, prev, rate); got != want {
+					t.Fatalf("%+v: compressed Lookup(%.2f,%d,%.2f) = %d, optimizer says %d", spec, buffer, prev, rate, got, want)
 				}
 			}
 		}
@@ -147,6 +161,43 @@ func TestCompressedLookupEquivalence(t *testing.T) {
 	}
 }
 
+// handTable is a small valid table made by hand, no enumeration: 4×3×3
+// entries cycling through its three levels, so every run is one entry.
+func handTable() *Table {
+	spec := BinSpec{BufferBins: 4, BufferMax: 12, RateBins: 3, RateMin: 10, RateMax: 100}
+	t := &Table{Spec: spec, Levels: 3, Entries: make([]uint8, spec.BufferBins*3*spec.RateBins)}
+	for i := range t.Entries {
+		t.Entries[i] = uint8(i % t.Levels)
+	}
+	return t
+}
+
+// TestLookupStaysInRange: /v1/decide hands Lookup untrusted state, so NaN,
+// ±Inf, negative and out-of-range inputs must still pick a level in
+// [0, Levels), and the compressed table must agree with the flat one.
+func TestLookupStaysInRange(t *testing.T) {
+	_, built := smallTable(t)
+	for _, flat := range []*Table{handTable(), built} {
+		c, levels := Compress(flat), flat.Levels
+		buffers := []float64{-1, 0, 5, 1e308, math.Inf(1), math.Inf(-1), math.NaN()}
+		prevs := []int{-5, -1, 0, levels - 1, levels, levels + 7}
+		rates := []float64{-10, 0, 55, 1e308, math.Inf(1), math.Inf(-1), math.NaN()}
+		for _, b := range buffers {
+			for _, p := range prevs {
+				for _, r := range rates {
+					lvl := c.Lookup(b, p, r)
+					if lvl < 0 || lvl >= levels {
+						t.Fatalf("%d levels: Lookup(%v, %d, %v) = %d, out of range", levels, b, p, r, lvl)
+					}
+					if want := flat.Lookup(b, p, r); lvl != want {
+						t.Fatalf("%d levels: compressed Lookup(%v, %d, %v) = %d, flat = %d", levels, b, p, r, lvl, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLookupZeroAllocs is the runtime witness of //mpc:noalloc on both
 // table lookups and the bin mappers, index and run search beneath them:
 // the per-decision online phase costs no heap allocation.
@@ -192,37 +243,6 @@ func TestRLEProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSerializeRoundTrip(t *testing.T) {
-	_, table := smallTable(t)
-	c := Compress(table)
-	cblob := c.Serialize()
-	if len(cblob) != c.SizeBytes() {
-		t.Errorf("SizeBytes = %d, serialized = %d", c.SizeBytes(), len(cblob))
-	}
-	cback, err := DeserializeCompressed(cblob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		buffer := float64(i%40) - 2
-		rate := float64(i * 7 % 7000)
-		if cback.Lookup(buffer, i%5, rate) != c.Lookup(buffer, i%5, rate) {
-			t.Fatalf("lookup %d differs after round trip", i)
-		}
-	}
-}
-
-func TestDeserializeErrors(t *testing.T) {
-	if _, err := DeserializeCompressed([]byte{1, 2, 3}); err == nil {
-		t.Error("short compressed blob should fail")
-	}
-	_, table := smallTable(t)
-	cblob := Compress(table).Serialize()
-	if _, err := DeserializeCompressed(cblob[:len(cblob)-3]); err == nil {
-		t.Error("truncated compressed blob should fail")
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 	"mpcdash/internal/core"
 )
 
-// keyFormat versions the cache-key byte layout: bump it whenever the table
-// semantics change (solver objective, binning, serialization) so stale
-// on-disk tables miss instead of being trusted.
+// keyFormat versions the key's byte layout. The key is also the table
+// identity /v1/session reports (table_key), so bump it only when the table
+// semantics change (solver objective, binning): equal keys must keep
+// meaning equal tables across releases.
 const keyFormat = "mpcdash/fastmpc/table/v2\x00"
 
 // TableKey returns the content-addressed identity of the decision table

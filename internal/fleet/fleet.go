@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mpcdash/internal/fastmpc"
 	"mpcdash/internal/model"
 	"mpcdash/internal/obs"
 	"mpcdash/internal/runner"
@@ -57,10 +56,6 @@ type Options struct {
 	// EmuTimeScale compresses emulated sessions (media seconds per wall
 	// second); 0 selects 20.
 	EmuTimeScale float64
-	// TableCacheDir persists content-addressed FastMPC decision tables on
-	// disk so repeated runs skip the offline enumeration. It configures
-	// the process-wide fastmpc table cache; "" leaves the current setting.
-	TableCacheDir string
 	// SvcURL points the svc backend at an external abrd deployment; ""
 	// self-hosts a decision service on 127.0.0.1:0 for the run.
 	SvcURL string
@@ -119,7 +114,7 @@ func New(sc *Scenario, opt Options) (*Fleet, error) {
 		for i := range sc.Populations {
 			p := &sc.Populations[i]
 			if _, ok := svcAlgorithms[strings.ToLower(p.Algorithm)]; !ok {
-				return nil, fmt.Errorf("fleet: population %q: algorithm %q has no service-side implementation (svc backend supports FastMPC, RobustMPC)",
+				return nil, fmt.Errorf("fleet: population %q: algorithm %q has no service-side implementation (svc backend supports FastMPC, RobustMPC, RobustFastMPC)",
 					p.Name, p.Algorithm)
 			}
 		}
@@ -128,9 +123,6 @@ func New(sc *Scenario, opt Options) (*Fleet, error) {
 	}
 	if opt.EmuTimeScale <= 0 {
 		opt.EmuTimeScale = 20
-	}
-	if opt.TableCacheDir != "" {
-		fastmpc.SetTableCacheDir(opt.TableCacheDir)
 	}
 	v := sc.video()
 	manifest, err := model.NewCBRManifest(model.Ladder(v.LadderKbps), v.Chunks, v.ChunkSec)

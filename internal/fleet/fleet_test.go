@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"mpcdash/internal/fastmpc"
 	"mpcdash/internal/obs"
 )
 
@@ -243,76 +242,5 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if err := testScenario(10).Validate(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
-	}
-}
-
-// TestFleetTableCacheColdWarmIdentical is the cache acceptance contract:
-// with -table-cache, a cold run builds the FastMPC table and persists it,
-// a warm run of the same seed loads it from disk without building, and
-// both produce byte-identical report JSON.
-func TestFleetTableCacheColdWarmIdentical(t *testing.T) {
-	dir := t.TempDir()
-	t.Cleanup(func() {
-		fastmpc.SetTableCacheDir("")
-		fastmpc.ResetSharedTables()
-	})
-	scenario := func() *Scenario {
-		return &Scenario{
-			Name:  "cache",
-			Seed:  7,
-			Video: VideoSpec{Chunks: 10, ChunkSec: 4},
-			// A non-default horizon gives this run a table key no other
-			// test shares, so a pre-populated in-process cache cannot
-			// mask a missing cold build.
-			Horizon:   4,
-			TracePool: TracePoolSpec{PerKind: 4, DurationSec: 120},
-			Populations: []Population{
-				{
-					Name:      "fast",
-					Algorithm: "FastMPC",
-					Sessions:  30,
-					TraceMix:  map[string]float64{"fcc": 1},
-				},
-			},
-		}
-	}
-	run := func() []byte {
-		f, err := New(scenario(), Options{TableCacheDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := f.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-
-	fastmpc.ResetSharedTables() // drop entries and zero counters: a true cold start
-	cold := run()
-	st := fastmpc.TableCacheStats()
-	if st.Builds == 0 {
-		t.Fatalf("cold run did not build a table: %+v", st)
-	}
-	if st.DiskHits != 0 {
-		t.Fatalf("cold run hit the disk cache: %+v", st)
-	}
-
-	fastmpc.ResetSharedTables() // forget the in-process table; only the disk file remains
-	warm := run()
-	st = fastmpc.TableCacheStats()
-	if st.Builds != 0 {
-		t.Fatalf("warm run rebuilt the table instead of loading it: %+v", st)
-	}
-	if st.DiskHits == 0 {
-		t.Fatalf("warm run did not load from disk: %+v", st)
-	}
-
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("cold and warm reports differ:\n--- cold\n%s\n--- warm\n%s", cold, warm)
 	}
 }

@@ -33,11 +33,14 @@ import (
 
 // svcAlgorithms maps fleet algorithm names onto the service's decision
 // rules. Only the table-lookup family exists server-side: the service is
-// FastMPC-as-a-service, and "RobustMPC" rides the same table through the
-// error-adjusted lower bound (Theorem 1).
+// FastMPC-as-a-service, and "RobustMPC" and "RobustFastMPC" ride the same
+// table through the error-adjusted lower bound (Theorem 1). The sim
+// backend's RobustFastMPC is that rule too; its RobustMPC is the exact
+// solver.
 var svcAlgorithms = map[string]bool{ // name (lower-case) → robust
-	"fastmpc":   false,
-	"robustmpc": true,
+	"fastmpc":       false,
+	"robustmpc":     true,
+	"robustfastmpc": true,
 }
 
 // SvcDemoScenario is the built-in scenario for the svc backend: FastMPC

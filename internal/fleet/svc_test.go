@@ -132,26 +132,29 @@ func TestSvcBackendDeterministic(t *testing.T) {
 }
 
 // TestSvcBackendMatchesSim is the differential oracle between backends: a
-// FastMPC session on the svc backend plays the simulator's playback with
-// the same table and predictor, only moved behind HTTP, so with watch
-// churn and the abandon policy both backends must produce byte-identical
-// reports (the backend name aside).
+// FastMPC or RobustFastMPC session on the svc backend plays the
+// simulator's playback with the same table and predictor, only moved
+// behind HTTP, so with watch churn and the abandon policy both backends
+// must produce byte-identical reports (the backend name aside).
 func TestSvcBackendMatchesSim(t *testing.T) {
 	run := func(backend string) *Report {
+		pop := func(name, alg string) Population {
+			return Population{
+				Name:               name,
+				Algorithm:          alg,
+				Sessions:           64,
+				TraceMix:           map[string]float64{"fcc": 1, "hsdpa": 2},
+				Watch:              Watch{Dist: "uniform", MinChunks: 4, MaxChunks: 16},
+				AbandonRebufferSec: 2,
+			}
+		}
 		sc := &Scenario{
 			Name:        "oracle",
 			Seed:        11,
 			Video:       VideoSpec{Chunks: 16, ChunkSec: 4},
 			TracePool:   TracePoolSpec{PerKind: 16, DurationSec: 200},
 			MaxInFlight: 16,
-			Populations: []Population{{
-				Name:               "fastmpc",
-				Algorithm:          "FastMPC",
-				Sessions:           64,
-				TraceMix:           map[string]float64{"fcc": 1, "hsdpa": 2},
-				Watch:              Watch{Dist: "uniform", MinChunks: 4, MaxChunks: 16},
-				AbandonRebufferSec: 2,
-			}},
+			Populations: []Population{pop("fastmpc", "FastMPC"), pop("robust", "RobustFastMPC")},
 		}
 		f, err := New(sc, Options{Backend: backend})
 		if err != nil {
@@ -164,10 +167,11 @@ func TestSvcBackendMatchesSim(t *testing.T) {
 		return rep
 	}
 	sim, svc := run(BackendSim), run(BackendSvc)
-	p := sim.Populations[0]
-	t.Logf("sim: %d completed, %d abandoned, %d chunks", p.Completed, p.Abandoned, p.Chunks)
-	if p.Completed != int64(p.Sessions) || p.Abandoned == 0 || p.Abandoned == p.Completed {
-		t.Fatalf("scenario does not exercise churn and abandonment: %+v", p)
+	for _, p := range sim.Populations {
+		t.Logf("sim %s: %d completed, %d abandoned, %d chunks", p.Name, p.Completed, p.Abandoned, p.Chunks)
+		if p.Completed != int64(p.Sessions) || p.Abandoned == 0 || p.Abandoned == p.Completed {
+			t.Fatalf("%s: scenario does not exercise churn and abandonment: %+v", p.Name, p)
+		}
 	}
 	svc.Backend = sim.Backend
 	a, err := sim.JSON()

@@ -104,7 +104,7 @@ func TestBuildEscapesReal(t *testing.T) {
 		t.Fatalf("BuildEscapes: %v", err)
 	}
 	if len(sites) == 0 {
-		t.Fatal("expected escape sites in fastmpc (Build/Serialize allocate); -m output may not have reached the compiler")
+		t.Fatal("expected escape sites in fastmpc (Build/Compress allocate); -m output may not have reached the compiler")
 	}
 	for _, s := range sites {
 		if filepath.Dir(s.File) != pkgs[0].Dir {

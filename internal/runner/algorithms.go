@@ -127,10 +127,17 @@ func MPCOptAlgorithm(w model.Weights, q model.QualityFunc, bufferMax float64, ho
 }
 
 // Catalog is every algorithm a player can be configured with by name: the
-// StandardSet plus exact MPC. MPC-OPT is not in it, as its oracle needs the
-// trace ahead of time.
+// StandardSet plus exact MPC and RobustFastMPC, the table lookup queried
+// with RobustMPC's lower bound (Theorem 1), as the decision service plays
+// robust sessions. MPC-OPT is not in it, as its oracle needs the trace
+// ahead of time.
 func Catalog(w model.Weights, q model.QualityFunc, bufferMax float64, horizon int) []Algorithm {
-	return append(StandardSet(w, q, bufferMax, horizon), MPCAlgorithm(w, q, bufferMax, horizon))
+	return append(StandardSet(w, q, bufferMax, horizon), MPCAlgorithm(w, q, bufferMax, horizon), Algorithm{
+		Name:      "RobustFastMPC",
+		Factory:   fastmpc.NewController(w, q, bufferMax, horizon, nil, true, "RobustFastMPC"),
+		Predictor: TrackedHarmonicPred(5),
+		Startup:   sim.StartupFirstChunk,
+	})
 }
 
 // Lookup finds name among algs, ignoring case; "dashjs" is accepted for

@@ -1,8 +1,9 @@
 // Solver hot-path benchmarks: per-chunk decision latency and allocations
-// for the exact MPC solver, and FastMPC table acquisition (a cold build and
-// a registry hit). Run them with `make bench-solver`; the zero-allocation
-// budgets of the scratch and Decide paths are core's AllocsPerRun tests
-// (TestPlanScratchZeroAllocs, TestMPCDecideZeroAllocs).
+// for the exact MPC solver, and FastMPC table acquisition (a cold build,
+// one of its rows and a registry hit). Run them with `make bench-solver`;
+// the zero-allocation budgets of the scratch, row and Decide paths are
+// core's AllocsPerRun tests (TestPlanScratchZeroAllocs,
+// TestFirstLevelsZeroAllocs, TestMPCDecideZeroAllocs).
 package mpcdash_test
 
 import (
@@ -100,11 +101,33 @@ func BenchmarkSolver_MPCDecide(b *testing.B) {
 func BenchmarkSolver_TableBuildCold(b *testing.B) {
 	opt := solverOptimizer(b)
 	spec := solverSpec()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fastmpc.Build(opt, spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSolver_FirstLevels is one rate row of the table build: the 100
+// buffer bins × every previous level of one (chunk, forecast), solved by
+// one FirstLevels call with a warm Scratch.
+func BenchmarkSolver_FirstLevels(b *testing.B) {
+	opt := solverOptimizer(b)
+	spec := solverSpec()
+	buffers := make([]float64, spec.BufferBins)
+	for i := range buffers {
+		buffers[i] = spec.BufferValue(i)
+	}
+	row := make([]int, len(buffers)*opt.Manifest.Levels())
+	forecast := []float64{1740}
+	var s core.Scratch
+	opt.FirstLevels(&s, 0, forecast, buffers, row)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.FirstLevels(&s, 0, forecast, buffers, row)
 	}
 }
 

@@ -105,53 +105,21 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 		// cannot recurse.
 		return o.Plan(k, buffer, prev, forecast, startup)
 	}
-	steps := o.Horizon
-	if rem := o.Manifest.ChunkCount - k; rem < steps {
-		steps = rem
-	}
-	if steps <= 0 {
-		return 0, 0, 0
-	}
 	levels := o.Manifest.Levels()
 	// Lookup-table callers clamp an out-of-ladder previous level; the exact
 	// solver must agree rather than index out of range.
 	if prev >= levels {
 		prev = levels - 1
 	}
-	// Any negative previous level means none; the bound table has one
+	// Any negative previous level means none; the bound tables have one
 	// column for it.
 	prev = max(prev, -1)
-	s.grow(steps, levels)
-
-	// Hoist the per-level quality out of the enumeration: the DFS visits
-	// O(levels^steps) nodes, each of which previously paid two QualityFunc
-	// calls.
-	for lvl := 0; lvl < levels; lvl++ {
-		s.qual[lvl] = o.Quality(o.Manifest.Ladder[lvl])
-	}
-
-	// Pad or truncate the forecast to exactly steps entries, extending with
-	// the final value and flooring at minRate.
-	last := minRate
-	for i := 0; i < steps; i++ {
-		if i < len(forecast) && forecast[i] > 0 {
-			last = forecast[i]
-		}
-		s.rates[i] = max(last, minRate)
-	}
-
-	// The download time of every (depth, level) pair depends on neither
-	// the buffer nor the path, so it is computed once per solve — for a
-	// startup solve, once for the whole Ts grid — instead of at every node.
-	for d := 0; d < steps; d++ {
-		row := s.dl[d*levels : (d+1)*levels]
-		for lvl := range row {
-			row[lvl] = o.Manifest.ChunkSize(k+d, lvl) / s.rates[d]
-		}
-	}
-	s.nodes = 0
 
 	if !startup {
+		steps := o.prepare(s, k, forecast, buffer)
+		if steps == 0 {
+			return 0, 0, 0
+		}
 		o.ladderBound(s, buffer, steps, levels)
 		lvl, q, _ := o.search(s, buffer, prev, steps, levels, math.Inf(-1))
 		return lvl, 0, q
@@ -160,7 +128,6 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 	// Startup: grid-search Ts jointly with the bitrate plan. The grid is
 	// indexed by integer multiple — accumulating t += step in floating
 	// point drifts for non-dyadic steps and can skip the final point.
-	bestLevel, bestTs, bestQoE := 0, 0.0, math.Inf(-1)
 	step := o.TsStep
 	if step <= 0 {
 		step = 0.5
@@ -170,8 +137,15 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 		tsMax = o.BufferMax
 	}
 	n := int((tsMax + 1e-9) / step)
-	// One bound serves the whole grid: the largest Ts caps every buffer.
-	o.ladderBound(s, float64(n)*step, steps, levels)
+	// One set of bounds serves the whole grid: the largest Ts caps every
+	// buffer.
+	top := float64(n) * step
+	steps := o.prepare(s, k, forecast, top)
+	if steps == 0 {
+		return 0, 0, 0
+	}
+	o.ladderBound(s, top, steps, levels)
+	bestLevel, bestTs, bestQoE := 0, 0.0, math.Inf(-1)
 	for i := 0; i <= n; i++ {
 		t := float64(i) * step
 		// Past the first point the rule below keeps a Ts only if its QoE
@@ -191,6 +165,94 @@ func (o *Optimizer) PlanScratch(s *Scratch, k int, buffer float64, prev int, for
 		}
 	}
 	return bestLevel, bestTs, bestQoE
+}
+
+// FirstLevels solves one steady row: for every buffers[i] and every
+// previous level p of the ladder it writes to dst[i*levels+p] the first
+// level PlanScratch(s, k, buffers[i], p, forecast, false) returns. The
+// qualities, download times and flow bound are set up once per call and
+// the ladder bound once per buffer, so a table row costs little more than
+// its searches. dst must hold len(buffers)·levels entries.
+//
+//mpc:noalloc
+func (o *Optimizer) FirstLevels(s *Scratch, k int, forecast, buffers []float64, dst []int) {
+	levels := o.Manifest.Levels()
+	top := math.Inf(-1)
+	for _, b := range buffers {
+		top = max(top, b)
+	}
+	steps := o.prepare(s, k, forecast, top)
+	for i, b := range buffers {
+		row := dst[i*levels : (i+1)*levels]
+		if steps == 0 {
+			clear(row)
+			continue
+		}
+		o.ladderBound(s, b, steps, levels)
+		for p := range row {
+			row[p], _, _ = o.search(s, b, p, steps, levels, math.Inf(-1))
+		}
+	}
+}
+
+// flowPrice sets the flow bound's price of buffer from the first forecast:
+// θ = flowPrice·rate₀/L, capped at µ. Any θ in [0, µ] gives a valid bound;
+// of the prices 0.6–2.0, this one entered the fewest nodes over the 50,000
+// solves of the default table.
+const flowPrice = 1.2
+
+// prepare sizes s and fills what every search at chunk k shares whatever
+// its buffer and previous level: the per-level qualities, the padded
+// forecast, the download-time table and the flow bound, whose terminal
+// term is capped for entering buffers up to top. It resets the node count
+// and returns the horizon length, 0 once k is past the video's end.
+func (o *Optimizer) prepare(s *Scratch, k int, forecast []float64, top float64) (steps int) {
+	steps = o.Horizon
+	if rem := o.Manifest.ChunkCount - k; rem < steps {
+		steps = rem
+	}
+	if steps <= 0 {
+		return 0
+	}
+	levels := o.Manifest.Levels()
+	s.grow(steps, levels)
+
+	// Hoist the per-level quality out of the enumeration: the DFS visits
+	// O(levels^steps) nodes, each of which previously paid two QualityFunc
+	// calls.
+	for lvl := 0; lvl < levels; lvl++ {
+		s.qual[lvl] = o.Quality(o.Manifest.Ladder[lvl])
+	}
+	// Both bounds charge every (previous, next) switch on every row.
+	for p, qp := range s.qual {
+		for lvl, q := range s.qual {
+			s.sw[p*levels+lvl] = o.Weights.Lambda * math.Abs(q-qp)
+		}
+	}
+
+	// Pad or truncate the forecast to exactly steps entries, extending with
+	// the final value and flooring at minRate.
+	last := minRate
+	for i := 0; i < steps; i++ {
+		if i < len(forecast) && forecast[i] > 0 {
+			last = forecast[i]
+		}
+		s.rates[i] = max(last, minRate)
+	}
+
+	// The download time of every (depth, level) pair depends on neither
+	// the buffer nor the path, so it is computed once per call — for a
+	// startup solve, once for the whole Ts grid; for a row, once for all
+	// of its buffers — instead of at every node.
+	for d := 0; d < steps; d++ {
+		row := s.dl[d*levels : (d+1)*levels]
+		for lvl := range row {
+			row[lvl] = o.Manifest.ChunkSize(k+d, lvl) / s.rates[d]
+		}
+	}
+	s.nodes = 0
+	o.flowBound(s, top, steps, levels)
+	return steps
 }
 
 // slackBelow is v less a relative slack far above the rounding error of a
@@ -233,15 +295,37 @@ func (m chunkModel) score(q, qp float64, switched bool, dl, b float64) (gain, af
 //	U_d(p) = max_l [ q_l − µ·max(dl_d(l) − cap_d, 0) − λ·|q_l − q_p| + U_{d+1}(l) ]
 //	U_N    = terminal·cap_N
 //
-// where cap_d bounds the buffer entering depth d, and p = −1 has no
-// switching term. A larger buffer never rebuffers more, so scoring each
-// level against cap_d bounds its real gain; the switching cost is exact.
-// The bound is summed in another order than a plan's total, which
+// where cap_d bounds the buffer entering depth d (capChain), and p = −1
+// has no switching term. A larger buffer never rebuffers more, so scoring
+// each level against cap_d bounds its real gain; the switching cost is
+// exact. The bound is summed in another order than a plan's total, which
 // slackBelow absorbs.
 func (o *Optimizer) ladderBound(s *Scratch, cap0 float64, steps, levels int) {
 	cm := o.chunkModel()
 	w := levels + 1 // row width: column p+1 holds U_d(p), p = −1 included
 	caps, bound, qual, head := s.caps, s.bound, s.qual, s.head
+	o.capChain(s, cap0, steps, levels)
+	// A negative weight rewards an empty buffer most: its term is ≤ 0.
+	tail := max(o.TerminalBufferWeight*caps[steps], 0)
+	for i := steps * w; i < (steps+1)*w; i++ {
+		bound[i] = tail
+	}
+	for d := steps - 1; d >= 0; d-- {
+		below := bound[(d+1)*w : (d+2)*w]
+		for lvl, dl := range s.dl[d*levels : (d+1)*levels] {
+			head[lvl] = qual[lvl] - cm.mu*max(dl-caps[d], 0) + below[lvl+1]
+		}
+		switchRow(bound[d*w:(d+1)*w], head, s.sw)
+	}
+}
+
+// capChain fills s.caps: cap_0 = cap0 and cap_{d+1} = max(cap_d − min_l
+// dl_d(l), 0) + L, held at B_max plus two ulps of that sum above B_max, an
+// upper bound on the buffer entering depth d of any plan whose buffer at
+// depth 0 is at most cap0.
+func (o *Optimizer) capChain(s *Scratch, cap0 float64, steps, levels int) {
+	cm := o.chunkModel()
+	caps := s.caps
 	caps[0] = cap0
 	for d := 0; d < steps; d++ {
 		minDl := math.Inf(1)
@@ -256,33 +340,89 @@ func (o *Optimizer) ladderBound(s *Scratch, cap0 float64, steps, levels int) {
 		}
 		caps[d+1] = c
 	}
-	// A negative weight rewards an empty buffer most: its term is ≤ 0.
-	tail := max(o.TerminalBufferWeight*caps[steps], 0)
+}
+
+// flowBound fills s.flow and s.theta with the second, buffer-aware bound
+// of the search. A completion from depth d, entered with buffer b, that
+// downloads the m = N−d remaining chunks ends with a buffer of at most
+// b − Σdl + Σrebuffer + m·L and at least min(L, B_max), so it rebuffers at
+// least Σdl − b − m·L + min(L, B_max) seconds in total. Pricing that
+// rebuffering at any θ ∈ [0, µ] instead of µ bounds the completion's QoE by
+// θ·b plus
+//
+//	F_d(p) = V_d(p) + θ·(m·L − min(L, B_max))
+//	V_d(p) = max_l [ q_l − λ·|q_l − q_p| − θ·dl_d(l) + V_{d+1}(l) ]
+//	V_N    = max(terminal·cap_N, 0)
+//
+// with cap_N from the chain of the largest buffer top. Unlike the ladder
+// bound it charges a plan for the buffer its downloads drain, which is
+// what cuts states whose buffer is well below cap_d. θ = flowPrice·rate₀/L
+// capped at µ; where that is not a number in [0, µ], F is +∞ and θ is 0,
+// so the flow cut never fires.
+func (o *Optimizer) flowBound(s *Scratch, top float64, steps, levels int) {
+	cm := o.chunkModel()
+	w := levels + 1
+	flow, qual, head := s.flow, s.qual, s.head
+	theta := min(cm.mu, flowPrice*s.rates[0]/cm.chunkDur)
+	if !(theta >= 0 && theta <= cm.mu) || math.IsInf(theta, 0) {
+		s.theta = 0
+		for i := range flow {
+			flow[i] = math.Inf(1)
+		}
+		return
+	}
+	s.theta = theta
+	// A weight that is not positive adds at most 0: the buffer never ends
+	// negative.
+	tail := 0.0
+	if o.TerminalBufferWeight > 0 {
+		o.capChain(s, top, steps, levels)
+		tail = o.TerminalBufferWeight * s.caps[steps]
+	}
 	for i := steps * w; i < (steps+1)*w; i++ {
-		bound[i] = tail
+		flow[i] = tail
 	}
 	for d := steps - 1; d >= 0; d-- {
-		below, row := bound[(d+1)*w:(d+2)*w], bound[d*w:(d+1)*w]
-		// head[l] is everything but the switching cost.
-		row[0] = math.Inf(-1)
+		below := flow[(d+1)*w : (d+2)*w]
 		for lvl, dl := range s.dl[d*levels : (d+1)*levels] {
-			head[lvl] = qual[lvl] - cm.mu*max(dl-caps[d], 0) + below[lvl+1]
-			row[0] = max(row[0], head[lvl])
+			head[lvl] = qual[lvl] - theta*dl + below[lvl+1]
 		}
-		for p, qp := range qual {
-			u := math.Inf(-1)
-			for lvl, h := range head {
-				u = max(u, h-cm.lambda*math.Abs(qual[lvl]-qp))
-			}
-			row[p+1] = u
+		switchRow(flow[d*w:(d+1)*w], head, s.sw)
+	}
+	// Fold each depth's buffer-independent term into its row once V is
+	// complete, so the search adds only θ·b.
+	lo := min(cm.chunkDur, cm.bufMax)
+	for d := 0; d < steps; d++ {
+		add := theta * (float64(steps-d)*cm.chunkDur - lo)
+		for i := d * w; i < (d+1)*w; i++ {
+			flow[i] += add
 		}
+	}
+}
+
+// switchRow fills one bound row from head[l], a level's value before its
+// switching cost: row[0] = max_l head[l] (no previous level) and row[p+1] =
+// max_l [head[l] − sw[p·levels+l]], with sw the switching costs λ·|q_l − q_p|.
+func switchRow(row, head, sw []float64) {
+	row[0] = math.Inf(-1)
+	for _, h := range head {
+		row[0] = max(row[0], h)
+	}
+	levels := len(head)
+	for p := 0; p < levels; p++ {
+		u := math.Inf(-1)
+		for lvl, c := range sw[p*levels : (p+1)*levels] {
+			u = max(u, head[lvl]-c)
+		}
+		row[p+1] = u
 	}
 }
 
 // search exhaustively maximizes the horizon QoE by depth-first enumeration
 // with branch-and-bound: a partial plan is abandoned when its accumulated
-// QoE plus the ladder bound U_d(prev) (ladderBound) cannot beat the
-// incumbent less slackBelow's slack. The incumbent starts at floor; with
+// QoE plus either the ladder bound U_d(prev) (ladderBound) or the flow
+// bound F_d(prev) + θ·b (flowBound) cannot beat the incumbent less
+// slackBelow's slack. The incumbent starts at floor; with
 // no floor (−∞) it starts just below the rollout plan, which follows the
 // best level by gain plus bound at every depth, and the DFS re-finds that
 // plan or a better one, so the result is the plan it would find from −∞.
@@ -302,7 +442,7 @@ func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels i
 	cm := o.chunkModel()
 	terminal := o.TerminalBufferWeight
 	prune := !o.DisablePruning
-	dlTab, qual, bound := s.dl, s.qual, s.bound
+	dlTab, qual, bound, flow, theta := s.dl, s.qual, s.bound, s.flow, s.theta
 	buf, acc, prv, choice, next := s.buf, s.acc, s.prv, s.choice, s.next
 	w := levels + 1
 	last := steps - 1
@@ -321,8 +461,9 @@ func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels i
 	for d >= 0 {
 		if next[d] == 0 {
 			nodes++
-			if prune && acc[d]+bound[d*w+prv[d]+1] <= cut {
-				d-- // even the ladder bound cannot win
+			a, i := acc[d], d*w+prv[d]+1
+			if prune && (a+bound[i] <= cut || a+flow[i]+theta*buf[d] <= cut) {
+				d-- // a bound rules out every completion
 				continue
 			}
 		}

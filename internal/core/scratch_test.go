@@ -279,7 +279,7 @@ func TestSearchNodesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("node counts are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-	const wantSteady, wantStartup = 45365, 11320
+	const wantSteady, wantStartup = 41030, 9600
 	opt := newOpt(t, 5)
 	var s Scratch
 	rng := rand.New(rand.NewSource(26))
@@ -313,7 +313,8 @@ func TestSearchNodesGolden(t *testing.T) {
 }
 
 // FuzzPlanMatchesReference requires PlanScratch to return refPlan's level,
-// Ts and QoE bits for any state: the three weight presets and one with
+// Ts and QoE bits, and a steady FirstLevels row its level at the fuzzed
+// previous level, for any state: the three weight presets and one with
 // µs ≠ µ, horizons 1–6, any chunk, buffer (negative, above B_max, NaN,
 // ±Inf), previous level and forecast, startup or not, and any terminal
 // weight ≥ 0. refPlan's own cut assumes the QoE weights and the terminal
@@ -348,5 +349,111 @@ func FuzzPlanMatchesReference(f *testing.F) {
 		if gotLvl != wantLvl || math.Float64bits(gotTs) != math.Float64bits(wantTs) || math.Float64bits(gotQoE) != math.Float64bits(wantQoE) {
 			t.Fatalf("PlanScratch (%d, %v, %v) != refPlan (%d, %v, %v)", gotLvl, gotTs, gotQoE, wantLvl, wantTs, wantQoE)
 		}
+		// The row entry point has no column for "no previous level" and
+		// solves only the steady problem.
+		if startup || prev < 0 {
+			return
+		}
+		row := make([]int, m.Levels())
+		opt.FirstLevels(&s, k, forecast, []float64{buffer}, row)
+		if row[prev] != wantLvl {
+			t.Fatalf("FirstLevels level %d != refPlan level %d", row[prev], wantLvl)
+		}
 	})
+}
+
+// TestFirstLevelsMatchPlanScratch: the row entry point shares PlanScratch's
+// preparation and search but bounds a whole row with one flow table, so on
+// a seeded sweep every (buffer, previous level) cell must hold the level
+// PlanScratch returns. The sweep covers the three presets and one with
+// µs ≠ µ, CBR and VBR manifests, horizons 1–9 with chunks near the
+// video's end (and past it), terminal weights 0 and 300, buffers of 0,
+// above B_max, NaN and ±Inf, and empty, short, zero, NaN and slow-then-fast
+// forecasts.
+func TestFirstLevelsMatchPlanScratch(t *testing.T) {
+	vbr, err := model.NewVBRManifest(model.EnvivioLadder(), 65, 4, 0.3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	presets := []model.Weights{model.Balanced, model.AvoidInstability, model.AvoidRebuffering, {Lambda: 0.5, Mu: 150, MuS: 300}}
+	rng := rand.New(rand.NewSource(30))
+	var s Scratch
+	for mi, m := range []*model.Manifest{model.EnvivioManifest(), vbr} {
+		levels := m.Levels()
+		for horizon := 1; horizon <= 9; horizon++ {
+			for _, terminal := range []float64{0, 300} {
+				for pi, w := range presets {
+					opt, err := NewOptimizer(m, w, model.QIdentity, 30, horizon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.TerminalBufferWeight = terminal
+					k := rng.Intn(m.ChunkCount)
+					if pi%2 == 1 {
+						k = m.ChunkCount - rng.Intn(horizon+1) // the last chunks, or past the end
+					}
+					buffers := []float64{0, 45, math.Inf(-1)}
+					for i := 0; i < 6; i++ {
+						buffers = append(buffers, rng.Float64()*30)
+					}
+					// A NaN or +Inf buffer makes every total NaN, which no
+					// cut can prune: keep those to horizons whose full
+					// enumeration is small.
+					if horizon <= 6 {
+						buffers = append(buffers, math.NaN(), math.Inf(1))
+					}
+					var forecast []float64
+					switch rng.Intn(6) {
+					case 0: // empty
+					case 1:
+						forecast = []float64{rng.Float64() * 6000}
+					case 2:
+						forecast = []float64{0, 0, 0, 0, 0}
+					case 3:
+						forecast = []float64{math.NaN(), rng.Float64() * 6000}
+					case 4:
+						// A slow first chunk prices buffer low (small θ),
+						// then a fast link refills it: the terminal cap
+						// of the flow bound decides these cuts.
+						forecast = []float64{200 + rng.Float64()*800, 5000}
+					default:
+						for j := 0; j < horizon; j++ {
+							forecast = append(forecast, 200+rng.Float64()*5000)
+						}
+					}
+					row := make([]int, len(buffers)*levels)
+					opt.FirstLevels(&s, k, forecast, buffers, row)
+					for i, b := range buffers {
+						for p := 0; p < levels; p++ {
+							want, _, _ := opt.PlanScratch(&s, k, b, p, forecast, false)
+							if got := row[i*levels+p]; got != want {
+								t.Fatalf("manifest %d, N=%d, terminal %v, weights %+v, k=%d, B=%v, prev=%d, f=%v: FirstLevels %d != PlanScratch %d",
+									mi, horizon, terminal, w, k, b, p, forecast, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFirstLevelsZeroAllocs: with a warm Scratch, a table row of 100
+// buffers × every previous level allocates nothing.
+func TestFirstLevelsZeroAllocs(t *testing.T) {
+	opt := newOpt(t, 5)
+	var s Scratch
+	buffers := make([]float64, 100)
+	for i := range buffers {
+		buffers[i] = (float64(i) + 0.5) * 0.3
+	}
+	row := make([]int, len(buffers)*opt.Manifest.Levels())
+	forecast := []float64{1740}
+	opt.FirstLevels(&s, 0, forecast, buffers, row) // warm the scratch
+	allocs := testing.AllocsPerRun(20, func() {
+		opt.FirstLevels(&s, 0, forecast, buffers, row)
+	})
+	if allocs != 0 {
+		t.Errorf("FirstLevels allocates %.2f objects/op, want 0", allocs)
+	}
 }

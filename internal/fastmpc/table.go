@@ -140,9 +140,15 @@ func Build(opt *core.Optimizer, spec BinSpec) (*Table, error) {
 		Levels:  levels,
 		Entries: make([]uint8, spec.BufferBins*levels*spec.RateBins),
 	}
-	// Parallelize over buffer bins; each worker owns disjoint table rows
-	// and its own solver Scratch, so the enumeration allocates nothing
-	// beyond the table itself.
+	// Parallelize over rate bins: one FirstLevels call solves a bin's
+	// whole (buffer, previous level) row with shared setup, and each
+	// worker owns its own solver Scratch. Entries are buffer-major, so a
+	// row is strided in the table: the solves write a private row, and
+	// only its copy touches the cache lines other workers write.
+	buffers := make([]float64, spec.BufferBins)
+	for bBin := range buffers {
+		buffers[bBin] = spec.BufferValue(bBin)
+	}
 	var wg sync.WaitGroup
 	workers := runtime.GOMAXPROCS(0)
 	rows := make(chan int)
@@ -152,20 +158,19 @@ func Build(opt *core.Optimizer, spec BinSpec) (*Table, error) {
 			defer wg.Done()
 			var scratch core.Scratch
 			forecast := make([]float64, 1)
-			for bBin := range rows {
-				buffer := spec.BufferValue(bBin)
-				for prev := 0; prev < levels; prev++ {
-					for rBin := 0; rBin < spec.RateBins; rBin++ {
-						forecast[0] = spec.RateValue(rBin)
-						lvl, _, _ := opt.PlanScratch(&scratch, 0, buffer, prev, forecast, false)
-						t.Entries[t.index(bBin, prev, rBin)] = uint8(lvl)
-					}
+			row := make([]int, spec.BufferBins*levels)
+			for rBin := range rows {
+				forecast[0] = spec.RateValue(rBin)
+				opt.FirstLevels(&scratch, 0, forecast, buffers, row)
+				// Cell i = bBin*levels+prev sits at t.index(bBin, prev, rBin).
+				for i, lvl := range row {
+					t.Entries[i*spec.RateBins+rBin] = uint8(lvl)
 				}
 			}
 		}()
 	}
-	for bBin := 0; bBin < spec.BufferBins; bBin++ {
-		rows <- bBin
+	for rBin := 0; rBin < spec.RateBins; rBin++ {
+		rows <- rBin
 	}
 	close(rows)
 	wg.Wait()

@@ -115,6 +115,7 @@ func TestNoAllocInventoryCovers(t *testing.T) {
 	want := []string{
 		"core.(*Optimizer).Plan",
 		"core.(*Optimizer).PlanScratch",
+		"core.(*Optimizer).FirstLevels",
 		"core.(*Optimizer).search",
 		"fastmpc.(BinSpec).BufferBin",
 		"fastmpc.(BinSpec).RateBin",

@@ -262,32 +262,6 @@ func slackBelow(v float64) float64 {
 	return v - 1e-9*(math.Abs(v)+1)
 }
 
-// chunkModel holds the per-solve constants of one download in the horizon
-// model: the QoE weights µ and λ, the chunk duration L and the buffer cap.
-type chunkModel struct {
-	mu, lambda, chunkDur, bufMax float64
-}
-
-func (o *Optimizer) chunkModel() chunkModel {
-	return chunkModel{o.Weights.Mu, o.Weights.Lambda, o.Manifest.ChunkDuration, o.BufferMax}
-}
-
-// score is one download: a chunk of quality q taking dl seconds, entered
-// with b seconds of buffer after quality qp (switched false: no previous
-// level). It returns the QoE gain and the buffer left afterwards. The
-// search, its leaves and the rollout all score through it, so one plan
-// gets the same bits on every path.
-func (m chunkModel) score(q, qp float64, switched bool, dl, b float64) (gain, after float64) {
-	rebuffer := max(dl-b, 0)
-	afterDrain := max(b-dl, 0) + m.chunkDur
-	wait := max(afterDrain-m.bufMax, 0)
-	gain = q - m.mu*rebuffer
-	if switched {
-		gain -= m.lambda * math.Abs(q-qp)
-	}
-	return gain, afterDrain - wait
-}
-
 // ladderBound fills s.bound with U_d(p), an upper bound on the QoE any
 // completion from depth d after level p can add, for every buffer entering
 // depth 0 of at most cap0 seconds:
@@ -301,7 +275,7 @@ func (m chunkModel) score(q, qp float64, switched bool, dl, b float64) (gain, af
 // exact. The bound is summed in another order than a plan's total, which
 // slackBelow absorbs.
 func (o *Optimizer) ladderBound(s *Scratch, cap0 float64, steps, levels int) {
-	cm := o.chunkModel()
+	mu := o.Weights.Mu
 	w := levels + 1 // row width: column p+1 holds U_d(p), p = −1 included
 	caps, bound, qual, head := s.caps, s.bound, s.qual, s.head
 	o.capChain(s, cap0, steps, levels)
@@ -313,7 +287,7 @@ func (o *Optimizer) ladderBound(s *Scratch, cap0 float64, steps, levels int) {
 	for d := steps - 1; d >= 0; d-- {
 		below := bound[(d+1)*w : (d+2)*w]
 		for lvl, dl := range s.dl[d*levels : (d+1)*levels] {
-			head[lvl] = qual[lvl] - cm.mu*max(dl-caps[d], 0) + below[lvl+1]
+			head[lvl] = qual[lvl] - mu*max(dl-caps[d], 0) + below[lvl+1]
 		}
 		switchRow(bound[d*w:(d+1)*w], head, s.sw)
 	}
@@ -324,7 +298,7 @@ func (o *Optimizer) ladderBound(s *Scratch, cap0 float64, steps, levels int) {
 // upper bound on the buffer entering depth d of any plan whose buffer at
 // depth 0 is at most cap0.
 func (o *Optimizer) capChain(s *Scratch, cap0 float64, steps, levels int) {
-	cm := o.chunkModel()
+	chunkDur, bufMax := o.Manifest.ChunkDuration, o.BufferMax
 	caps := s.caps
 	caps[0] = cap0
 	for d := 0; d < steps; d++ {
@@ -332,11 +306,12 @@ func (o *Optimizer) capChain(s *Scratch, cap0 float64, steps, levels int) {
 		for _, dl := range s.dl[d*levels : (d+1)*levels] {
 			minDl = min(minDl, dl)
 		}
-		c := max(caps[d]-minDl, 0) + cm.chunkDur
-		if c > cm.bufMax {
-			// afterDrain−wait lands within one ulp of afterDrain above
-			// B_max, so round the cap upward by two.
-			c = cm.bufMax + 2*(math.Nextafter(c, math.Inf(1))-c)
+		c := max(caps[d]-minDl, 0) + chunkDur
+		if c > bufMax {
+			// model.Step's next buffer, the drained buffer plus L less
+			// the wait, can land one ulp of that sum above B_max, so
+			// round the cap upward by two.
+			c = bufMax + 2*(math.Nextafter(c, math.Inf(1))-c)
 		}
 		caps[d+1] = c
 	}
@@ -360,11 +335,11 @@ func (o *Optimizer) capChain(s *Scratch, cap0 float64, steps, levels int) {
 // capped at µ; where that is not a number in [0, µ], F is +∞ and θ is 0,
 // so the flow cut never fires.
 func (o *Optimizer) flowBound(s *Scratch, top float64, steps, levels int) {
-	cm := o.chunkModel()
+	mu, chunkDur := o.Weights.Mu, o.Manifest.ChunkDuration
 	w := levels + 1
 	flow, qual, head := s.flow, s.qual, s.head
-	theta := min(cm.mu, flowPrice*s.rates[0]/cm.chunkDur)
-	if !(theta >= 0 && theta <= cm.mu) || math.IsInf(theta, 0) {
+	theta := min(mu, flowPrice*s.rates[0]/chunkDur)
+	if !(theta >= 0 && theta <= mu) || math.IsInf(theta, 0) {
 		s.theta = 0
 		for i := range flow {
 			flow[i] = math.Inf(1)
@@ -391,9 +366,9 @@ func (o *Optimizer) flowBound(s *Scratch, top float64, steps, levels int) {
 	}
 	// Fold each depth's buffer-independent term into its row once V is
 	// complete, so the search adds only θ·b.
-	lo := min(cm.chunkDur, cm.bufMax)
+	lo := min(chunkDur, o.BufferMax)
 	for d := 0; d < steps; d++ {
-		add := theta * (float64(steps-d)*cm.chunkDur - lo)
+		add := theta * (float64(steps-d)*chunkDur - lo)
 		for i := d * w; i < (d+1)*w; i++ {
 			flow[i] += add
 		}
@@ -428,7 +403,9 @@ func switchRow(row, head, sw []float64) {
 // plan or a better one, so the result is the plan it would find from −∞.
 // Ties break toward the lower level because ascending iteration only
 // replaces on strict improvement. found reports whether any plan beat the
-// starting incumbent; if none did, no plan scores above floor.
+// starting incumbent; if none did, no plan scores above floor. Every
+// download, here and in the rollout, steps through model.Step and scores
+// through Weights.Gain, so one plan gets the same bits on every path.
 //
 // The traversal is iterative over the Scratch's explicit stacks — the
 // visit order of the recursive formulation without the closure and
@@ -439,7 +416,7 @@ func switchRow(row, head, sw []float64) {
 //
 //mpc:noalloc
 func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels int, floor float64) (first int, qoe float64, found bool) {
-	cm := o.chunkModel()
+	wts, chunkDur, bufMax := o.Weights, o.Manifest.ChunkDuration, o.BufferMax
 	terminal := o.TerminalBufferWeight
 	prune := !o.DisablePruning
 	dlTab, qual, bound, flow, theta := s.dl, s.qual, s.bound, s.flow, s.theta
@@ -449,7 +426,7 @@ func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels i
 
 	bestFirst, bestQoE := 0, floor
 	if math.IsInf(floor, -1) {
-		if r := slackBelow(o.rollout(s, cm, buffer, prev, steps, levels)); r > bestQoE {
+		if r := slackBelow(o.rollout(s, buffer, prev, steps, levels)); r > bestQoE {
 			bestQoE = r // a NaN total leaves no incumbent
 		}
 	}
@@ -472,8 +449,8 @@ func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels i
 		if d == last {
 			b, a := buf[d], acc[d]
 			for lvl, dl := range dlTab[d*levels : d*levels+levels] {
-				gain, after := cm.score(qual[lvl], qp, p >= 0, dl, b)
-				if total := a + gain + terminal*after; total > bestQoE {
+				rebuffer, _, after := model.Step(b, dl, chunkDur, bufMax)
+				if total := a + wts.Gain(qual[lvl], qp, p >= 0, rebuffer) + terminal*after; total > bestQoE {
 					bestQoE, cut, found = total, slackBelow(total), true
 					choice[d] = lvl
 					bestFirst = choice[0]
@@ -489,10 +466,10 @@ func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels i
 		}
 		next[d] = lvl + 1
 
-		gain, after := cm.score(qual[lvl], qp, p >= 0, dlTab[d*levels+lvl], buf[d])
+		rebuffer, _, after := model.Step(buf[d], dlTab[d*levels+lvl], chunkDur, bufMax)
 		choice[d] = lvl
 		buf[d+1] = after
-		acc[d+1] = acc[d] + gain
+		acc[d+1] = acc[d] + wts.Gain(qual[lvl], qp, p >= 0, rebuffer)
 		prv[d+1] = lvl
 		next[d+1] = 0
 		d++
@@ -505,14 +482,16 @@ func (o *Optimizer) search(s *Scratch, buffer float64, prev int, steps, levels i
 // lowest level maximizing its real gain plus the ladder bound below it,
 // summed in the search's order so a leaf scoring that plan gets the same
 // value.
-func (o *Optimizer) rollout(s *Scratch, cm chunkModel, b float64, p int, steps, levels int) float64 {
+func (o *Optimizer) rollout(s *Scratch, b float64, p int, steps, levels int) float64 {
+	wts, chunkDur, bufMax := o.Weights, o.Manifest.ChunkDuration, o.BufferMax
 	w := levels + 1
 	a := 0.0
 	for d := 0; d < steps; d++ {
 		qp := s.qual[max(p, 0)]
 		pick, pickGain, pickBuf, pickVal := 0, 0.0, 0.0, math.Inf(-1)
 		for lvl, dl := range s.dl[d*levels : (d+1)*levels] {
-			gain, after := cm.score(s.qual[lvl], qp, p >= 0, dl, b)
+			rebuffer, _, after := model.Step(b, dl, chunkDur, bufMax)
+			gain := wts.Gain(s.qual[lvl], qp, p >= 0, rebuffer)
 			if v := gain + s.bound[(d+1)*w+lvl+1]; v > pickVal {
 				pick, pickGain, pickBuf, pickVal = lvl, gain, after, v
 			}

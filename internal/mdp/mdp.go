@@ -216,12 +216,8 @@ func Solve(m *model.Manifest, w model.Weights, q model.QualityFunc, chain *Throu
 					bestA := 0
 					for a := 0; a < levels; a++ {
 						dl := size(a) / rate
-						rebuffer := math.Max(dl-buf, 0)
-						afterDrain := math.Max(buf-dl, 0) + m.ChunkDuration
-						wait := math.Max(afterDrain-bufferMax, 0)
-						nb := afterDrain - wait
-						gain := q(m.Ladder[a]) - w.Mu*rebuffer -
-							w.Lambda*math.Abs(q(m.Ladder[a])-q(m.Ladder[prev]))
+						rebuffer, _, nb := model.Step(buf, dl, m.ChunkDuration, bufferMax)
+						gain := w.Gain(q(m.Ladder[a]), q(m.Ladder[prev]), true, rebuffer)
 						var future float64
 						nBin := binOf(nb)
 						for ncs, prob := range chain.Transition[cs] {

@@ -21,6 +21,29 @@ var (
 	AvoidRebuffering = Weights{Lambda: 1, Mu: 6000, MuS: 6000}
 )
 
+// Step is one chunk download of Eq. (2)–(4): a chunk taking dl seconds,
+// entered with b seconds of buffer, adds chunkDur seconds of video to a
+// buffer capped at bufMax. It returns the stall (dl − b)+, the buffer-full
+// wait Δt_k and the buffer B_{k+1} left afterwards. Every player and
+// solver steps through it, so one plan gets the same bits everywhere.
+func Step(b, dl, chunkDur, bufMax float64) (rebuffer, wait, next float64) {
+	rebuffer = max(dl-b, 0)
+	afterDrain := max(b-dl, 0) + chunkDur // (B_k − d/C)+ + L
+	wait = max(afterDrain-bufMax, 0)      // Δt_k, Eq. (4)
+	return rebuffer, wait, afterDrain - wait
+}
+
+// Gain is one chunk's term of Eq. (5): quality q less µ per second of
+// rebuffering and, when switched (there is a previous chunk, of quality
+// qp), λ·|q − qp|.
+func (w Weights) Gain(q, qp float64, switched bool, rebuffer float64) float64 {
+	g := q - w.Mu*rebuffer
+	if switched {
+		g -= w.Lambda * math.Abs(q-qp)
+	}
+	return g
+}
+
 // ChunkRecord is the per-chunk outcome of a playback session, sufficient to
 // evaluate Eq. (5) and the per-factor CDFs of Figs 9–10. It is the one
 // per-chunk log: its json tags are the export's schema (package export)

@@ -122,3 +122,33 @@ func TestQoEMonotoneInRebuffer(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStep checks Eq. (2)–(4) on hand-computed downloads of 4 s chunks
+// into a 30 s buffer: the stall, the wait and the buffer left, and that
+// the buffer left is the drained buffer plus L less the wait, never above
+// B_max.
+func TestStep(t *testing.T) {
+	const chunkDur, bufMax = 4, 30
+	for _, c := range []struct {
+		name                                 string
+		b, dl                                float64
+		rebuffer, afterDrain, wait, wantNext float64
+	}{
+		{"stall", 2, 5, 3, 4, 0, 4},
+		{"exact drain", 5, 5, 0, 4, 0, 4},
+		{"buffer-full wait", 29, 1, 0, 32, 2, 30},
+		{"lands on B_max", 27, 1, 0, 30, 0, 30},
+		{"instant download", 10, 0, 0, 14, 0, 14},
+		{"instant download, full", 28, 0, 0, 32, 2, 30},
+		{"empty, instant", 0, 0, 0, 4, 0, 4},
+	} {
+		rebuffer, wait, next := Step(c.b, c.dl, chunkDur, bufMax)
+		if rebuffer != c.rebuffer || wait != c.wait || next != c.wantNext {
+			t.Errorf("%s: Step(%v, %v) = (%v, %v, %v), want (%v, %v, %v)",
+				c.name, c.b, c.dl, rebuffer, wait, next, c.rebuffer, c.wait, c.wantNext)
+		}
+		if next != c.afterDrain-wait || next > bufMax {
+			t.Errorf("%s: next %v, want afterDrain %v − wait %v and ≤ B_max %v", c.name, next, c.afterDrain, wait, bufMax)
+		}
+	}
+}

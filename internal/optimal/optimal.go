@@ -199,24 +199,19 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 		for i := range frontier {
 			st := &frontier[i]
 			prev := st.prev()
+			// Without a previous level Gain ignores qp, so any in-range
+			// quality serves.
+			qp, switched := qOf[min(prev, noPrev-1)], prev != noPrev
 			tr.At(st.t).DownloadTimes(sizes, dls)
 			for a, dl := range dls {
 				if math.IsInf(dl, 1) {
 					continue
 				}
-				rebuffer := max(dl-st.buf, 0)
-				afterDrain := max(st.buf-dl, 0) + s.Manifest.ChunkDuration
-				wait := max(afterDrain-s.BufferMax, 0)
-				nb := afterDrain - wait
+				rebuffer, wait, nb := model.Step(st.buf, dl, s.Manifest.ChunkDuration, s.BufferMax)
 				nt := st.t + dl + wait
-
-				gain := qOf[a] - s.Weights.Mu*rebuffer
-				if prev != noPrev {
-					gain -= s.Weights.Lambda * math.Abs(qOf[a]-qOf[prev])
-				}
 				k.insert(state{
 					key:  packKey(int32(math.Round(nt/timeBin)), a, quantB(nb)),
-					val:  st.val + gain,
+					val:  st.val + s.Weights.Gain(qOf[a], qp, switched, rebuffer),
 					t:    nt,
 					buf:  nb,
 					from: int32(i),

@@ -240,10 +240,7 @@ func (s *Session) Account(c *model.ChunkRecord) float64 {
 		s.buffer = s.res.StartupDelay
 	}
 
-	rebuffer := max(dl-s.buffer, 0)
-	afterDrain := max(s.buffer-dl, 0) + m.ChunkDuration // (B_k − d/C)+ + L
-	wait := max(afterDrain-s.cfg.BufferMax, 0)          // Δt_k, Eq. (4)
-	next := afterDrain - wait                           // B_{k+1}, Eq. (3)
+	rebuffer, wait, next := model.Step(s.buffer, dl, m.ChunkDuration, s.cfg.BufferMax)
 
 	c.Bitrate = m.Ladder[c.Level]
 	c.Throughput = c.SizeKbits / dl

@@ -152,6 +152,12 @@ func TestCursorEdgeCases(t *testing.T) {
 	if got := tr.At(1).DownloadTime(-3); got != 0 {
 		t.Errorf("negative size: DownloadTime = %v, want 0", got)
 	}
+	// More whole passes than a float64 counts: the time is still the
+	// size over the mean rate.
+	short := mustTrace(t, "short", []Sample{{1e-307, 1}})
+	if got := short.At(0).DownloadTime(50); got != 50 {
+		t.Errorf("1e-307 s pass at 1 kbps: DownloadTime(50) = %v, want 50", got)
+	}
 }
 
 // checkDownloadTimes requires DownloadTimes over sizes to equal the
@@ -230,17 +236,27 @@ func TestDownloadTimesMatchesDownloadTime(t *testing.T) {
 	checkDownloadTimes(t, dead, 3, []float64{-1, 0, 1, 2})
 }
 
+// fuzzSample is one FuzzDownloadTimes segment: a duration of (1+dur)/64 s
+// scaled by 2^(8·exp), from about 1e-310 s to past 1e308 s, and a rate in
+// kbps.
+type fuzzSample struct {
+	dur  uint16
+	exp  int8
+	kbps uint16
+}
+
 // downloadTimesSeed encodes one FuzzDownloadTimes input: the start and
-// the size step as float64 bits, the sample count, each sample as a
-// duration in 1/64 s above zero and a rate in kbps (uint16 each), then the
-// sizes as int16 multiples of step.
-func downloadTimesSeed(start, step float64, samples [][2]uint16, sizes []int16) []byte {
+// the size step as float64 bits, the sample count, each sample as its
+// duration (uint16), exponent (int8) and rate (uint16), then the sizes as
+// int16 multiples of step.
+func downloadTimesSeed(start, step float64, samples []fuzzSample, sizes []int16) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, math.Float64bits(start))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(step))
 	b = append(b, byte(len(samples)))
 	for _, s := range samples {
-		b = binary.LittleEndian.AppendUint16(b, s[0])
-		b = binary.LittleEndian.AppendUint16(b, s[1])
+		b = binary.LittleEndian.AppendUint16(b, s.dur)
+		b = append(b, byte(s.exp))
+		b = binary.LittleEndian.AppendUint16(b, s.kbps)
 	}
 	for _, kb := range sizes {
 		b = binary.LittleEndian.AppendUint16(b, uint16(kb))
@@ -250,20 +266,25 @@ func downloadTimesSeed(start, step float64, samples [][2]uint16, sizes []int16) 
 
 // downloadTimesSeeds is the committed seed corpus for FuzzDownloadTimes.
 func downloadTimesSeeds() [][]byte {
-	wrap := [][2]uint16{{127, 900}, {95, 0}, {31, 4000}, {191, 0}} // 2 s, 1.5 s, 0.5 s, 3 s
+	wrap := []fuzzSample{{127, 0, 900}, {95, 0, 0}, {31, 0, 4000}, {191, 0, 0}} // 2 s, 1.5 s, 0.5 s, 3 s
 	return [][]byte{
-		downloadTimesSeed(3.5, 200, wrap, []int16{1, 2, 4, 8, 16, 32, 64}),      // ascending, wrapping
-		downloadTimesSeed(0, 450, wrap, []int16{1, 2, 2, 8, 8, 3, 0, -1}),       // boundaries, repeats, descending
-		downloadTimesSeed(-1, 1000, [][2]uint16{{63, 1000}}, []int16{-1, 0, 1}), // one segment
-		downloadTimesSeed(2, 1, [][2]uint16{{319, 0}, {127, 0}}, []int16{0, 1}), // dead trace
-		downloadTimesSeed(math.NaN(), math.Inf(1), wrap, []int16{1, -1, 0}),     // NaN start, infinite sizes
+		downloadTimesSeed(3.5, 200, wrap, []int16{1, 2, 4, 8, 16, 32, 64}),                 // ascending, wrapping
+		downloadTimesSeed(0, 450, wrap, []int16{1, 2, 2, 8, 8, 3, 0, -1}),                  // boundaries, repeats, descending
+		downloadTimesSeed(-1, 1000, []fuzzSample{{63, 0, 1000}}, []int16{-1, 0, 1}),        // one segment
+		downloadTimesSeed(2, 1, []fuzzSample{{319, 0, 0}, {127, 0, 0}}, []int16{0, 1}),     // dead trace
+		downloadTimesSeed(math.NaN(), math.Inf(1), wrap, []int16{1, -1, 0}),                // NaN start, infinite sizes
+		downloadTimesSeed(0, 50, []fuzzSample{{0, -127, 1}}, []int16{1, 2}),                // 2^-1022 s pass: more passes than a float64 counts
+		downloadTimesSeed(1, 1e5, []fuzzSample{{15, 125, 1}, {0, -127, 0}}, []int16{1, 3}), // a 4e300 s segment beside a 2^-1022 s one
 	}
 }
 
 // FuzzDownloadTimes builds a trace, a start and a size list from fuzzed
 // bytes (see downloadTimesSeed) and requires DownloadTimes to equal
 // DownloadTime bit for bit, +Inf and NaN included. Traces arrive as
-// untrusted files, so no shape of one may split the two.
+// untrusted files, so no shape of one may split the two. From a finite
+// start, a transfer takes at most the rest of the pass, its size over the
+// mean rate and one more pass, so it must also finish wherever that sum
+// is far below the float64 range.
 func FuzzDownloadTimes(f *testing.F) {
 	for _, s := range downloadTimesSeeds() {
 		f.Add(s)
@@ -275,32 +296,47 @@ func FuzzDownloadTimes(f *testing.F) {
 		start := math.Float64frombits(binary.LittleEndian.Uint64(data))
 		step := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 		n, data := int(data[16]), data[17:]
-		if len(data) < 4*n {
+		if len(data) < 5*n {
 			return
 		}
 		samples := make([]Sample, n)
 		for i := range samples {
+			mant := float64(1 + int(binary.LittleEndian.Uint16(data[5*i:])))
 			samples[i] = Sample{
-				Duration: float64(1+int(binary.LittleEndian.Uint16(data[4*i:]))) / 64,
-				Kbps:     float64(binary.LittleEndian.Uint16(data[4*i+2:])),
+				Duration: math.Ldexp(mant, 8*int(int8(data[5*i+2]))-6),
+				Kbps:     float64(binary.LittleEndian.Uint16(data[5*i+3:])),
 			}
 		}
 		tr, err := New("fuzz", samples)
 		if err != nil {
-			return // no samples
+			return // no samples, or a duration that overflows
 		}
 		var sizes []float64
-		for data = data[4*n:]; len(data) >= 2; data = data[2:] {
+		for data = data[5*n:]; len(data) >= 2; data = data[2:] {
 			sizes = append(sizes, float64(int16(binary.LittleEndian.Uint16(data)))*step)
 		}
 		checkDownloadTimes(t, tr, start, sizes)
+		mean := tr.Mean()
+		if !(mean > 0) || math.IsNaN(start) || math.IsInf(start, 0) {
+			return
+		}
+		c := tr.At(start)
+		for _, kb := range sizes {
+			if !(kb > 0 && kb/mean+2*tr.Duration() < 1e307) {
+				continue
+			}
+			if dl := c.DownloadTime(kb); math.IsInf(dl, 0) || math.IsNaN(dl) {
+				t.Fatalf("At(%v).DownloadTime(%v) = %v on a %v s trace of mean rate %v", start, kb, dl, tr.Duration(), mean)
+			}
+		}
 	})
 }
 
 // traceReadSeeds is the committed seed corpus for FuzzTraceRead: a plain
 // trace, a NaN and an infinite duration, two durations whose sum
-// overflows, and a rate so low that 50 kilobits take more passes than a
-// float64 holds.
+// overflows, a rate so low that 50 kilobits take longer than a float64
+// holds, and a pass so short that 50 kilobits take more passes than a
+// float64 counts, though only 50 s.
 func traceReadSeeds() [][]byte {
 	return [][]byte{
 		[]byte("# trace ok\n1 1000\n0.5 0\n2 350.5\n"),
@@ -308,6 +344,7 @@ func traceReadSeeds() [][]byte {
 		[]byte("+Inf 0\n"),
 		[]byte("1e308 1\n1e308 1\n"),
 		[]byte("1 1e-320\n"),
+		[]byte("1e-307 1\n"),
 	}
 }
 
@@ -315,8 +352,7 @@ func traceReadSeeds() [][]byte {
 // returns a trace whose Duration and Mean are finite and whose
 // DownloadTime(0, 50) is not NaN. That download is +Inf only when the
 // trace never delivers 50 kilobits in a float64 count of seconds: an
-// all-zero trace, or one so slow that 50/Mean overflows what a pass
-// count can hold.
+// all-zero trace, or one so slow that 50/Mean itself overflows.
 func FuzzTraceRead(f *testing.F) {
 	for _, s := range traceReadSeeds() {
 		f.Add(s)
@@ -334,7 +370,7 @@ func FuzzTraceRead(f *testing.F) {
 		if math.IsNaN(dl) {
 			t.Fatalf("DownloadTime(0, 50) = NaN (Duration %v, Mean %v)", dur, mean)
 		}
-		if math.IsInf(dl, 0) && mean > 0 && 50/mean < 1e300 {
+		if math.IsInf(dl, 0) && mean > 0 && !math.IsInf(50/mean, 1) {
 			t.Fatalf("DownloadTime(0, 50) = %v on a trace with mean rate %v", dl, mean)
 		}
 	})

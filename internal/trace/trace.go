@@ -179,7 +179,9 @@ func (c Cursor) DownloadTime(kilobits float64) float64 {
 		pos, seg, base = 0, 0, 0
 		passes := math.Floor(kilobits / perPass)
 		if math.IsInf(passes, 1) {
-			return math.Inf(1) // more passes than float64 counts
+			// More passes than a float64 counts: time the rest at the
+			// pass's mean rate, finite wherever the answer is.
+			return elapsed + kilobits/t.Mean()
 		}
 		if kilobits == passes*perPass { //lint:allow floateq exact pass-boundary landing; both sides derive from the same floor()
 			passes-- // land exactly at a pass boundary: finish within the last one

@@ -23,8 +23,9 @@ lint-fixtures:
 	$(GO) test ./internal/lint/... ./cmd/mpclint/...
 
 # fuzz smoke-runs every fuzz target (the /v1 JSON decode paths, the trace
-# download-time walk and text-trace reader, and the exact MPC solver
-# against its recursive reference) for FUZZTIME each, seeded from the committed corpora under
+# download-time walk and text-trace reader, the exact MPC solver against
+# its recursive reference, and the offline optimum's bound cut against its
+# uncut kernel) for FUZZTIME each, seeded from the committed corpora under
 # testdata/fuzz and the targets' f.Add seeds.
 FUZZTIME ?= 10s
 fuzz:
@@ -33,6 +34,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDownloadTimes$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveCutMatchesUncut$$' -fuzztime $(FUZZTIME) ./internal/optimal/
 
 test:
 	$(GO) test ./...

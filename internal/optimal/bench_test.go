@@ -12,7 +12,8 @@ var solveSink float64
 // BenchmarkSolve is one Solve per paper-fig8 trace under NewSolver
 // defaults, the offline normalizer behind every n-QoE number, plus one
 // finer grid on the HSDPA trace: 21 dense rates with 0.5 s time and
-// buffer bins, a point of the grid-fineness sweep.
+// buffer bins, a point of the grid-fineness sweep. Each Solve includes its
+// incumbent's beam pass and the cut dynamic program.
 func BenchmarkSolve(b *testing.B) {
 	for _, k := range []struct {
 		name   string

@@ -95,10 +95,24 @@ var goldenStates = map[string]int{
 	"dead":               31,
 }
 
-// TestSolveGolden pins Solve bit for bit, and the kept states of the
-// cheaper cases exactly. Go may fuse x*y+z into one rounding on
-// architectures with FMA instructions (arm64, ppc64le, s390x), so the
-// pinned bits are amd64's.
+// goldenCutStates are the frontier sizes of goldenCases summed over every
+// chunk as Solve runs them, cut at the incumbent, recorded on amd64 when
+// the cut was introduced. The cut keeps the uncut answer; these pin how
+// much it prunes. Where the incumbent is −Inf ("dead") nothing is cut.
+var goldenCutStates = map[string]int{
+	"fig8-fcc":           13965,
+	"fig8-hsdpa":         56285,
+	"fig8-synthetic":     18883,
+	"discrete-ladder":    34065,
+	"half-second-bins":   1643,
+	"wrapping-zero-rate": 273,
+	"dead":               31,
+}
+
+// TestSolveGolden pins Solve bit for bit, the kept states of the cheaper
+// cases uncut, and those of every case as Solve cuts them. Go may fuse
+// x*y+z into one rounding on architectures with FMA instructions (arm64,
+// ppc64le, s390x), so the pinned bits are amd64's.
 func TestSolveGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden bits are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
@@ -111,10 +125,15 @@ func TestSolveGolden(t *testing.T) {
 		}
 		if want, ok := goldenStates[c.name]; ok {
 			states := 0
-			s.solve(tr, func(f []state) { states += len(f) })
+			s.run(tr, math.Inf(-1), 0, func(_ int, f []state) { states += len(f) })
 			if states != want {
 				t.Errorf("%s: frontiers hold %d states over all chunks, want %d", c.name, states, want)
 			}
+		}
+		states := 0
+		s.solve(tr, s.incumbent(tr), func(_ int, f []state) { states += len(f) })
+		if want := goldenCutStates[c.name]; states != want {
+			t.Errorf("%s: cut frontiers hold %d states over all chunks, want %d", c.name, states, want)
 		}
 	}
 }
@@ -132,17 +151,31 @@ var goldenFrontiers = map[string]string{
 	"dead":               "836913212d36f9682d7412b255695625fe9383e299aadbddcafc950b0f1352bd",
 }
 
-// frontierDigest hashes each recorded frontier in order: every state's
-// key, the bits of its value, time and buffer, and its back-pointer, with
-// a separator after each chunk.
-func frontierDigest(s *Solver, tr *trace.Trace) string {
+// goldenCutFrontiers are frontierDigest of goldenCases as Solve runs
+// them, cut at the incumbent, recorded on amd64 when the cut was
+// introduced. "dead" has no incumbent, so its digest is the uncut one.
+var goldenCutFrontiers = map[string]string{
+	"fig8-fcc":           "905a022132aba04ef85f359b5a82053902495cf61c1159e4360e38da192f2fe2",
+	"fig8-hsdpa":         "77b24452c451f5d7b722fb61b97c881c2099c31f01f0063f04ad1ce3f300d4f0",
+	"fig8-synthetic":     "527a599869187b1832e2141e7238bebe3e437cf8b93f409d0c3392913d304f4f",
+	"discrete-ladder":    "1d53fdd58e425dddc8799d8b4860a38022291d9129e6b71d636acf2ab6bb6cd3",
+	"half-second-bins":   "75f1de2e6e5ace3b39e396904a4d946e24e06f314053755fc1e88f60f609c005",
+	"wrapping-zero-rate": "3f14f5c6f53d66eb40b597d736f19f1bef7c2a2ed5e0c9b3cad39730b4c12dd1",
+	"dead":               "836913212d36f9682d7412b255695625fe9383e299aadbddcafc950b0f1352bd",
+}
+
+// frontierDigest hashes each frontier solve(tr, lb) records, in order:
+// every state's key, the bits of its value, time and buffer, and its
+// back-pointer, with a separator after each chunk. lb = −Inf records the
+// uncut kernel alone.
+func frontierDigest(s *Solver, tr *trace.Trace, lb float64) string {
 	h := sha256.New()
 	var b [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	s.solve(tr, func(f []state) {
+	s.solve(tr, lb, func(_ int, f []state) {
 		for i := range f {
 			put(f[i].key)
 			put(math.Float64bits(f[i].val))
@@ -156,15 +189,19 @@ func frontierDigest(s *Solver, tr *trace.Trace) string {
 }
 
 // TestSolveFrontierGolden pins every frontier of goldenCases, states and
-// order, bit for bit; amd64 only, as TestSolveGolden.
+// order, bit for bit, uncut and as Solve cuts them; amd64 only, as
+// TestSolveGolden.
 func TestSolveFrontierGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden frontiers are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
 	for _, c := range goldenCases {
 		s, tr := c.build(t)
-		if got := frontierDigest(s, tr); got != goldenFrontiers[c.name] {
+		if got := frontierDigest(s, tr, math.Inf(-1)); got != goldenFrontiers[c.name] {
 			t.Errorf("%s: frontier digest %s, want %s", c.name, got, goldenFrontiers[c.name])
+		}
+		if got := frontierDigest(s, tr, s.incumbent(tr)); got != goldenCutFrontiers[c.name] {
+			t.Errorf("%s: cut frontier digest %s, want %s", c.name, got, goldenCutFrontiers[c.name])
 		}
 	}
 }

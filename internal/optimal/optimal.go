@@ -9,6 +9,23 @@
 // covers the worst-case extra switching penalty of adopting A's future plan
 // from B's previous rate, λ·|q(prevA) − q(prevB)| (by the triangle
 // inequality). States with no previous chunk only dominate each other.
+//
+// Solve and SolvePlan also cut, by branch and bound, every state that
+// cannot reach a known plan's value. The incumbent lb is the exact Eq. (5)
+// value of a feasible plan, found by a narrow beam pass of the same
+// kernel. When λ ≥ 0 and µ ≥ 0 a chunk gains at most qMax, the best
+// quality, so a state after chunk c can end at most (N−c−1)·qMax above its
+// value; a candidate whose value plus that completion bound falls below
+// lb, less a margin far above the summation's rounding, is dropped before
+// deduplication. The bound is the same for every state of a chunk, so the
+// cut is monotone in value, and every state that wins a deduplication or
+// dominates another has at least the loser's value: a cut state only ever
+// decides the fate of states that are cut too. The optimal path is never
+// cut, and the answer, its plan and its ties are the uncut program's bit
+// for bit whenever that optimum reaches lb. Since dominance is
+// approximate, it might not; so when the cut run's best ends below lb, or
+// a frontier empties, or a NaN value turns up, the program is run again
+// uncut. A negative or NaN λ or µ disables the cut.
 package optimal
 
 import (
@@ -74,11 +91,7 @@ func NewSolver(m *model.Manifest, w model.Weights, q model.QualityFunc, bufferMa
 // Solve returns QoE(OPT) for the trace: the best achievable Eq. (5) value
 // over all bitrate plans and startup delays.
 func (s *Solver) Solve(tr *trace.Trace) float64 {
-	final := s.solve(tr, nil)
-	if b := best(final); b >= 0 {
-		return final[b].val
-	}
-	return math.Inf(-1)
+	return value(s.solve(tr, s.incumbent(tr), nil))
 }
 
 // actions returns the rate set the optimum may choose from.
@@ -122,6 +135,15 @@ func (n *state) better(o *state) bool {
 	return n.t < o.t
 }
 
+// value returns the best value in a final frontier, or −Inf if it has
+// none.
+func value(final []state) float64 {
+	if b := best(final); b >= 0 {
+		return final[b].val
+	}
+	return math.Inf(-1)
+}
+
 // best returns the index of the first highest-valued state, or -1.
 func best(frontier []state) int {
 	b, v := -1, math.Inf(-1)
@@ -144,10 +166,45 @@ type kernel struct {
 	ends  []int32   // per time-bin bucket: end of its range in next
 }
 
-// solve runs the dynamic program and returns the final frontier. A non-nil
-// record sees the initial frontier and then each chunk's pruned frontier;
-// a state's from indexes the frontier recorded before it.
-func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
+// beamWidth is how many of each chunk's best-valued states the
+// incumbent's beam pass keeps.
+const beamWidth = 32
+
+// incumbent returns the exact Eq. (5) value of a feasible plan, the lower
+// bound the dynamic program is cut at, or −Inf when there is none: the
+// best final value of a beam pass, the uncut kernel keeping beamWidth
+// states per chunk. Bins are only keys, so every state's value is its
+// plan's exact value.
+func (s *Solver) incumbent(tr *trace.Trace) float64 {
+	final, _ := s.run(tr, math.Inf(-1), beamWidth, nil)
+	return value(final)
+}
+
+// solve returns the final frontier of the dynamic program, cut at the
+// feasible value lb. When the cut run cannot vouch for its answer, it is
+// discarded and the program runs again uncut; record then sees the uncut
+// run's frontiers after the cut run's, under the same chunk indexes.
+func (s *Solver) solve(tr *trace.Trace, lb float64, record func(int, []state)) []state {
+	if final, ok := s.run(tr, lb, 0, record); ok {
+		return final
+	}
+	final, _ := s.run(tr, math.Inf(-1), 0, record)
+	return final
+}
+
+// run runs the dynamic program and returns the final frontier. A non-nil
+// record sees the initial frontier as chunk 0 and then chunk c's pruned
+// frontier as c+1; a state's from indexes the frontier recorded before it.
+// A positive width keeps only that many of each pruned frontier's
+// best-valued states, which makes run a beam search.
+//
+// A finite lb cuts, as the package comment sets out, every candidate whose
+// value plus the completion bound (N−c−1)·qMax falls below lb less a
+// rounding margin; ok then reports whether the answer is the uncut one: it
+// is false when the run ends below lb or empty, or met a NaN value, which
+// orders nothing. With a negative or NaN λ or µ, or lb = −Inf, run is the
+// uncut kernel and ok is true.
+func (s *Solver) run(tr *trace.Trace, lb float64, width int, record func(int, []state)) ([]state, bool) {
 	actions := s.actions()
 	noPrev := len(actions)
 	if noPrev >= 1<<16 {
@@ -173,6 +230,16 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 	for i, r := range actions {
 		qOf[i] = s.Quality(r)
 	}
+	qMax := math.Inf(-1)
+	for _, q := range qOf {
+		qMax = max(qMax, q) // NaN if any quality is
+	}
+	cutting := s.Weights.Lambda >= 0 && s.Weights.Mu >= 0 && finite(lb) && finite(qMax)
+	cut, ordered := math.Inf(-1), true
+	if cutting {
+		// A state near the cut has partial sums within N·|qMax| of lb.
+		cut = lb - 1e-6*(math.Abs(lb)+float64(s.Manifest.ChunkCount)*math.Abs(qMax)+1)
+	}
 	k := kernel{gap: make([]float64, noPrev*noPrev), kept: make([]float64, noPrev+1)}
 	for p := range qOf {
 		for q := range qOf {
@@ -186,7 +253,7 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 	}
 	frontier := slices.Clone(k.next)
 	if record != nil {
-		record(frontier)
+		record(0, frontier)
 	}
 
 	sizes, dls := make([]float64, noPrev), make([]float64, noPrev)
@@ -194,6 +261,12 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 		mult := s.Manifest.SizeMultiplier(c)
 		for a, rate := range actions {
 			sizes[a] = s.Manifest.ChunkDuration * rate * mult
+		}
+		// rest bounds the gains after this chunk; it stays 0 uncut, where
+		// only a NaN value fails the test below.
+		rest := 0.0
+		if cutting {
+			rest = float64(s.Manifest.ChunkCount-c-1) * qMax
 		}
 		k.reset(len(frontier) * noPrev)
 		for i := range frontier {
@@ -208,10 +281,17 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 					continue
 				}
 				rebuffer, wait, nb := model.Step(st.buf, dl, s.Manifest.ChunkDuration, s.BufferMax)
+				val := st.val + s.Weights.Gain(qOf[a], qp, switched, rebuffer)
+				if !(val+rest >= cut) {
+					if val+rest < cut {
+						continue
+					}
+					ordered = false // NaN
+				}
 				nt := st.t + dl + wait
 				k.insert(state{
 					key:  packKey(int32(math.Round(nt/timeBin)), a, quantB(nb)),
-					val:  st.val + s.Weights.Gain(qOf[a], qp, switched, rebuffer),
+					val:  val,
 					t:    nt,
 					buf:  nb,
 					from: int32(i),
@@ -219,12 +299,26 @@ func (s *Solver) solve(tr *trace.Trace, record func([]state)) []state {
 			}
 		}
 		frontier = k.prune(noPrev, frontier)
+		if width > 0 && len(frontier) > width {
+			slices.SortStableFunc(frontier, func(a, b state) int { return cmp.Compare(b.val, a.val) })
+			frontier = frontier[:width]
+		}
 		if record != nil {
-			record(frontier)
+			record(c+1, frontier)
+		}
+		if cutting && len(frontier) == 0 {
+			return nil, false
 		}
 	}
-	return frontier
+	if !cutting {
+		return frontier, true
+	}
+	b := best(frontier)
+	return frontier, ordered && b >= 0 && frontier[b].val >= lb
 }
+
+// finite reports whether v is neither infinite nor NaN.
+func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 
 // positiveOr returns v, or fallback if v is not positive.
 func positiveOr(v, fallback float64) float64 {

@@ -22,8 +22,15 @@ type Plan struct {
 // cost memory, so prefer Solve when only the value is needed (the
 // normalizer path).
 func (s *Solver) SolvePlan(tr *trace.Trace) Plan {
+	return s.solvePlan(tr, s.incumbent(tr))
+}
+
+// solvePlan is SolvePlan with the dynamic program cut at lb, as solve.
+func (s *Solver) solvePlan(tr *trace.Trace, lb float64) Plan {
 	var history [][]state
-	final := s.solve(tr, func(f []state) { history = append(history, slices.Clone(f)) })
+	final := s.solve(tr, lb, func(c int, f []state) {
+		history = append(history[:c], slices.Clone(f)) // an uncut rerun replaces the cut run's
+	})
 	b := best(final)
 	if b < 0 {
 		return Plan{QoE: math.Inf(-1)} // infeasible (dead trace)
